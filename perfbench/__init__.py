@@ -1,0 +1,6 @@
+"""Benchmark for rgg_spectra: workloads, a span tracer and the runner.
+
+Run it from the repository root with
+``python3 perfbench/run.py --workload <name> --seed <n> --seconds <s> --trace <0|1>``;
+see perfbench/README.md.
+"""
