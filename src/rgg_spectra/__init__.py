@@ -16,7 +16,6 @@ from .bounds import (
     BoundReport,
     Lemma4Terms,
     Theorem1Report,
-    binomial_tail_oracle,
     lemma1_degree_bound,
     lemma4_decomposition,
     lemma6_variance_bound,
@@ -42,6 +41,7 @@ from .harness import (
     TrialResult,
     estimate_probability,
     figure1_experiment,
+    lattice_graph,
     probability_from_results,
     run_trial,
     run_trials,
@@ -49,7 +49,7 @@ from .harness import (
 )
 from .levy import LevyResult, levy_distance, levy_distance_oracle, trace_bound
 from .matching import BottleneckResult, bottleneck_matching, bottleneck_rate_envelope
-from .spectra import MAX_EIG_ORDER, Esd, esd_eval, esd_from_eigenvalues, jacobi_eigenvalues, sym_eigenvalues
+from .spectra import MAX_EIG_ORDER, Esd, esd_eval, esd_from_eigenvalues, sym_eigenvalues
 
 __all__ = [
     "__version__",
@@ -74,7 +74,6 @@ __all__ = [
     "Theorem1Report",
     "TrialResult",
     "ball_volume_theta",
-    "binomial_tail_oracle",
     "bottleneck_matching",
     "bottleneck_rate_envelope",
     "build_adjacency",
@@ -91,7 +90,7 @@ __all__ = [
     "estimate_probability",
     "figure1_experiment",
     "grid_points",
-    "jacobi_eigenvalues",
+    "lattice_graph",
     "lemma1_degree_bound",
     "lemma4_decomposition",
     "lemma6_variance_bound",

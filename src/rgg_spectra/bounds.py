@@ -1,6 +1,5 @@
 """Numeric evaluators for the degree bound, the cubed-Levy decomposition, the
-edge-count variance bound, and the three-term tail bound, plus a Monte Carlo
-binomial-tail oracle.
+edge-count variance bound, and the three-term tail bound.
 
 Every evaluator computes exactly the printed expression; nothing is clamped
 or substituted.  Degenerate parameter regions are surfaced as flags
@@ -17,7 +16,7 @@ import numpy as np
 
 from .geometry import INFINITY, MetricSpec, PointSet, ball_volume_theta
 from .graph import build_adjacency, cross_neighbor_count, degree_summary
-from .levy import levy_distance, trace_bound
+from .levy import levy_distance
 from .spectra import esd_from_eigenvalues, sym_eigenvalues
 
 
@@ -124,6 +123,14 @@ class Theorem1Report:
     a_parameter: float
 
 
+def check_tail_parameters(t: float, a: float) -> None:
+    """Reject a tail threshold t <= 0 or a Chernoff parameter a < 1."""
+    if not t > 0:
+        raise ValueError(f"need t > 0, got {t}")
+    if not a >= 1:
+        raise ValueError(f"need a >= 1, got {a}")
+
+
 def theorem1_rhs(
     t: float, n: int, d: int, p: float, r: float, a_n: float, M_n: float, a: float
 ) -> Theorem1Report:
@@ -132,10 +139,7 @@ def theorem1_rhs(
     epsilon <= 0 sets the vacuous flag (bound exceeds 1, still reported);
     r <= 2 M_n is a hard error since the bound's derivation needs r > 2 M_n.
     """
-    if not t > 0:
-        raise ValueError(f"need t > 0, got {t}")
-    if not a >= 1:
-        raise ValueError(f"need a >= 1, got {a}")
+    check_tail_parameters(t, a)
     if not r > 2.0 * M_n:
         raise ValueError(f"need r > 2*M_n, got r={r}, M_n={M_n}")
     if not a_n > 0:
@@ -180,17 +184,6 @@ def theorem1_rhs(
         t=t,
         a_parameter=a,
     )
-
-
-def binomial_tail_oracle(n: int, prob: float, threshold: float, trials: int, seed: int) -> float:
-    """Monte Carlo estimate of P{|X - n*prob| >= threshold}, X ~ Bin(n, prob)."""
-    if not 0.0 <= prob <= 1.0:
-        raise ValueError(f"need prob in [0,1], got {prob}")
-    if trials < 1:
-        raise ValueError(f"need trials >= 1, got {trials}")
-    rng = np.random.default_rng(seed)
-    draws = rng.binomial(n, prob, size=trials)
-    return float(np.mean(np.abs(draws - n * prob) >= threshold))
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import platform
 import sys
 from datetime import datetime, timezone
@@ -20,19 +19,20 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .bounds import BoundReport, lemma1_degree_bound, lemma4_decomposition, lemma6_variance_bound, theorem1_rhs
+from .bounds import BoundReport, check_tail_parameters, lemma1_degree_bound, lemma4_decomposition, lemma6_variance_bound, theorem1_rhs
 from .dgg import dgg_eigenvalues_closed_form, dgg_eigenvalues_dft, dgg_spec
 from .geometry import INFINITY, MetricSpec, PointSet, ball_volume_theta, grid_points, sample_uniform
 from .graph import build_adjacency, edge_list_text
 from .harness import (
     ExperimentConfig,
     figure1_experiment,
+    lattice_graph,
     probability_from_results,
     run_trials,
     trial_seed,
 )
 from .levy import levy_distance, levy_distance_oracle
-from .matching import bottleneck_matching
+from .matching import bottleneck_matching  # noqa: F401  perfbench wraps it here until ROADMAP item 5
 from .spectra import esd_from_eigenvalues, sym_eigenvalues
 
 CLOSED_FORM_REQUIRES_LINF = "CLOSED_FORM_REQUIRES_LINF"
@@ -220,8 +220,7 @@ def cmd_spectrum(opts: dict) -> int:
             spec = dgg_spec(N, d, r)
             values = dgg_eigenvalues_closed_form(spec) if method == "closed" else dgg_eigenvalues_dft(spec)
         else:
-            metric = MetricSpec(d=d, p=opts["p"])
-            values = sym_eigenvalues(build_adjacency(grid_points(N, d), r, metric))
+            values = sym_eigenvalues(lattice_graph(N, d, opts["p"], r)[1])
     else:
         if method != "eig":
             raise CliError(f"{CLOSED_FORM_REQUIRES_LINF}: --method {method} needs a --dgg lattice")
@@ -318,7 +317,6 @@ def cmd_compare(opts: dict) -> int:
 
 
 def cmd_bounds(opts: dict) -> int:
-    out = _out_dir(opts)
     cfg = ExperimentConfig(
         N=opts["N"],
         d=opts["d"],
@@ -329,6 +327,8 @@ def cmd_bounds(opts: dict) -> int:
         trials=opts["trials"],
         seed=opts["seed"],
     )
+    check_tail_parameters(cfg.t, cfg.a)
+    out = _out_dir(opts)
     results = run_trials(cfg, cfg.trials)
     p_hat, stderr = probability_from_results(results, cfg.t, cfg.trials)
     m_n_max = max(result.m_n for result in results)
@@ -338,9 +338,8 @@ def cmd_bounds(opts: dict) -> int:
     theorem1 = theorem1_rhs(cfg.t, n, cfg.d, cfg.p, r, a_n, m_n_max, cfg.a)
 
     sample0 = sample_uniform(n, cfg.d, trial_seed(cfg.seed, 0))
-    grid = grid_points(cfg.N, cfg.d)
-    assignment0 = bottleneck_matching(sample0, grid, cfg.metric).assignment
-    lemma4 = lemma4_decomposition(sample0, grid, assignment0, r, cfg.metric)
+    grid = lattice_graph(cfg.N, cfg.d, cfg.p, r)[0]
+    lemma4 = lemma4_decomposition(sample0, grid, results[0].assignment, r, cfg.metric)
 
     report = BoundReport(
         lemma1=lemma1_degree_bound(cfg.d, cfg.p, a_n),

@@ -2,17 +2,19 @@
 paired-CDF comparison experiment.
 
 Each trial samples points, builds the random-graph adjacency, compares its
-spectrum against the analytic lattice spectrum (closed form under l_infinity,
-explicit eigensolve otherwise), and evaluates the bottleneck matching and the
-trace bound.  Per-trial seeds are a documented splitmix64 mix of the master
-seed and the trial index, so every aggregate is reproducible bit-for-bit.
+spectrum against the lattice spectrum (closed form under l_infinity, explicit
+eigensolve otherwise), and evaluates the bottleneck matching and the trace
+bound.  The lattice graph and its spectrum depend only on (N, d, p, r), so
+they are built once per configuration and cached; only the random graph is
+rebuilt per trial.  Per-trial seeds are a documented splitmix64 mix of the
+master seed and the trial index, so every aggregate is reproducible
+bit-for-bit.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -21,10 +23,10 @@ import numpy as np
 
 from .dgg import dgg_eigenvalues_closed_form, dgg_spec
 from .geometry import INFINITY, MetricSpec, PointSet, ball_volume_theta, grid_points, sample_uniform
-from .graph import build_adjacency
+from .graph import AdjacencyMatrix, build_adjacency
 from .levy import levy_distance, trace_bound
 from .matching import bottleneck_matching
-from .spectra import Esd, esd_from_eigenvalues, sym_eigenvalues
+from .spectra import MAX_EIG_ORDER, Esd, esd_from_eigenvalues, sym_eigenvalues
 
 EXPLICIT = "explicit"
 CONNECTIVITY = "connectivity"
@@ -74,6 +76,8 @@ class ExperimentConfig:
             raise ValueError("EXPLICIT radius rule needs r > 0")
         if self.trials < 1:
             raise ValueError(f"need trials >= 1, got {self.trials}")
+        if self.n > MAX_EIG_ORDER:
+            raise ValueError(f"N^d = {self.n} exceeds the dense-eigensolver ceiling {MAX_EIG_ORDER}")
 
     @property
     def n(self) -> int:
@@ -92,15 +96,23 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class TrialResult:
-    """Per-trial outcomes; timings are diagnostic only and excluded from
-    equality so that replayed trials compare equal."""
+    """Per-trial outcomes.  assignment is the optimal sample -> grid matching;
+    it is excluded from equality because ndarray equality is elementwise."""
 
     levy_cubed: float
     trace_bound: float
     m_n: float
     xi_n: int
     esd_rgg: Esd
-    timings: dict = field(compare=False, repr=False)
+    assignment: np.ndarray = field(compare=False, repr=False)
+
+
+# Each entry holds an n x n adjacency, so only a few configurations are kept.
+@lru_cache(maxsize=4)
+def lattice_graph(N: int, d: int, p: float, r: float) -> tuple[PointSet, AdjacencyMatrix]:
+    """The N^d grid and its lattice adjacency under l_p at radius r (cached)."""
+    grid = grid_points(N, d)
+    return grid, build_adjacency(grid, r, MetricSpec(d=d, p=p))
 
 
 @lru_cache(maxsize=32)
@@ -108,54 +120,33 @@ def _dgg_esd(N: int, d: int, p: float, r: float) -> Esd:
     """Analytic lattice ESD when p = INFINITY, explicit eigensolve otherwise."""
     if p == INFINITY:
         return esd_from_eigenvalues(dgg_eigenvalues_closed_form(dgg_spec(N, d, r)))
-    grid = grid_points(N, d)
-    return esd_from_eigenvalues(sym_eigenvalues(build_adjacency(grid, r, MetricSpec(d=d, p=p))))
+    return esd_from_eigenvalues(sym_eigenvalues(lattice_graph(N, d, p, r)[1]))
 
 
 def run_trial(cfg: ExperimentConfig, trial_index: int) -> TrialResult:
-    """Execute one fully deterministic trial of the comparison pipeline."""
-    timings: dict[str, float] = {}
-    n, r, metric = cfg.n, cfg.radius, cfg.metric
+    """Execute one fully deterministic trial of the comparison pipeline.
 
-    tic = time.perf_counter()
-    grid = grid_points(cfg.N, cfg.d)
+    The lattice comes first, so an out-of-range one fails before sampling.
+    """
+    n, r, metric = cfg.n, cfg.radius, cfg.metric
+    esd_dgg = _dgg_esd(cfg.N, cfg.d, cfg.p, r)
+    grid, A_D = lattice_graph(cfg.N, cfg.d, cfg.p, r)
     if cfg.sample_from_grid:
         sample = PointSet(d=cfg.d, coords=grid.coords, kind="sample")
     else:
         sample = sample_uniform(n, cfg.d, trial_seed(cfg.seed, trial_index))
-    timings["sample"] = time.perf_counter() - tic
-
-    tic = time.perf_counter()
     A_X = build_adjacency(sample, r, metric)
-    timings["adjacency"] = time.perf_counter() - tic
-
-    tic = time.perf_counter()
     esd_rgg = esd_from_eigenvalues(sym_eigenvalues(A_X))
-    esd_dgg = _dgg_esd(cfg.N, cfg.d, cfg.p, r)
-    timings["spectrum"] = time.perf_counter() - tic
-
-    tic = time.perf_counter()
     levy = levy_distance(esd_rgg, esd_dgg).distance
-    timings["levy"] = time.perf_counter() - tic
-
-    tic = time.perf_counter()
     bottleneck = bottleneck_matching(sample, grid, metric)
-    timings["matching"] = time.perf_counter() - tic
-
-    tic = time.perf_counter()
-    A_D = build_adjacency(grid, r, metric)
     aligned = A_D.entries[np.ix_(bottleneck.assignment, bottleneck.assignment)]
-    trace = trace_bound(A_X.entries, aligned)
-    xi_n = int(A_X.degrees().sum()) // 2
-    timings["bounds"] = time.perf_counter() - tic
-
     return TrialResult(
         levy_cubed=levy**3,
-        trace_bound=trace,
+        trace_bound=trace_bound(A_X.entries, aligned),
         m_n=bottleneck.m_n,
-        xi_n=xi_n,
+        xi_n=int(A_X.degrees().sum()) // 2,
         esd_rgg=esd_rgg,
-        timings=timings,
+        assignment=bottleneck.assignment,
     )
 
 
@@ -221,12 +212,10 @@ def figure1_experiment(n: int = 2000, d: int = 1, seed: int = 1) -> Figure1Resul
     if N**d != n:
         raise ValueError(f"n = {n} is not a perfect {d}-th power")
     r = math.log(n) / math.sqrt(n)
-    metric = MetricSpec(d=d, p=INFINITY)
 
+    esd_dgg = _dgg_esd(N, d, INFINITY, r)
     sample = sample_uniform(n, d, seed)
-    esd_rgg = esd_from_eigenvalues(sym_eigenvalues(build_adjacency(sample, r, metric)))
-    spec = dgg_spec(N, d, r)
-    esd_dgg = esd_from_eigenvalues(dgg_eigenvalues_closed_form(spec))
+    esd_rgg = esd_from_eigenvalues(sym_eigenvalues(build_adjacency(sample, r, MetricSpec(d=d, p=INFINITY))))
 
     x = np.unique(np.concatenate([esd_rgg.eigenvalues, esd_dgg.eigenvalues]))
     cdf_rgg = np.searchsorted(esd_rgg.eigenvalues, x, side="right") / esd_rgg.n
@@ -243,7 +232,7 @@ def figure1_experiment(n: int = 2000, d: int = 1, seed: int = 1) -> Figure1Resul
         d=d,
         r=r,
         a_n_implied=a_n_implied,
-        k=spec.k,
+        k=dgg_spec(N, d, r).k,
         esd_rgg=esd_rgg,
         esd_dgg=esd_dgg,
     )

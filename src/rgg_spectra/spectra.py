@@ -1,8 +1,7 @@
 """Symmetric eigendecomposition and empirical spectral distributions (ESDs).
 
-The production eigensolver is LAPACK via numpy.linalg.eigvalsh; a slow
-textbook cyclic-Jacobi path is kept alongside as an independent oracle.  An
-Esd is a sorted eigenvalue vector defining the right-continuous step CDF
+The eigensolver is LAPACK via numpy.linalg.eigvalsh.  An Esd is a sorted
+eigenvalue vector defining the right-continuous step CDF
 F(x) = (1/n) #{i : lambda_i <= x}.
 """
 
@@ -36,48 +35,6 @@ def sym_eigenvalues(A) -> np.ndarray:
     if M.shape[0] > MAX_EIG_ORDER:
         raise ValueError(f"order {M.shape[0]} exceeds the dense-eigensolver ceiling {MAX_EIG_ORDER}")
     return np.linalg.eigvalsh(M)
-
-
-def jacobi_eigenvalues(A, sweep_tol: float = 1e-12, max_sweeps: int = 60) -> np.ndarray:
-    """Reference eigensolver: cyclic Jacobi rotations until off-diagonal decay.
-
-    Textbook implementation kept purely as an oracle for sym_eigenvalues;
-    O(n^3) per sweep with a large constant, intended for n up to a few
-    hundred.
-    """
-    M = _as_symmetric_array(A)
-    n = M.shape[0]
-    if n == 1:
-        return M[0, :1].copy()
-    scale = max(1.0, float(np.abs(M).max()))
-    off_part = np.empty_like(M)
-    for sweep in range(max_sweeps + 1):
-        np.copyto(off_part, M)
-        np.fill_diagonal(off_part, 0.0)
-        off = float(np.linalg.norm(off_part))
-        if off <= sweep_tol * scale * n:
-            break
-        if sweep == max_sweeps:
-            raise ArithmeticError(f"Jacobi iteration did not converge in {max_sweeps} sweeps")
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                # entries already at roundoff scale rotate by ~0 and stall the
-                # sweep; clear them outright instead
-                if abs(M[p, q]) <= 1e-300 or abs(M[p, q]) <= 1e-18 * (abs(M[p, p]) + abs(M[q, q])):
-                    M[p, q] = M[q, p] = 0.0
-                    continue
-                # Rotation angle zeroing M[p, q] (Golub & Van Loan sym. Schur).
-                tau = (M[q, q] - M[p, p]) / (2.0 * M[p, q])
-                if abs(tau) > 1e150:
-                    t = 0.5 / tau  # asymptotic root; tau*tau would overflow
-                else:
-                    t = (1.0 if tau >= 0 else -1.0) / (abs(tau) + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                rot = np.array([[c, s], [-s, c]])
-                M[[p, q], :] = rot.T @ M[[p, q], :]
-                M[:, [p, q]] = M[:, [p, q]] @ rot
-    return np.sort(np.diagonal(M))
 
 
 @dataclass(frozen=True, eq=False)

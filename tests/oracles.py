@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from rgg_spectra.geometry import MetricSpec, PointSet, torus_distance_matrix
+from rgg_spectra.graph import AdjacencyMatrix
 
 
 def brute_bottleneck(a: PointSet, b: PointSet, m: MetricSpec) -> float:
@@ -73,3 +74,56 @@ def random_symmetric_01(n: int, density: float, rng: np.random.Generator) -> np.
     entries = np.triu(upper, k=1)
     entries = (entries | entries.T).astype(np.uint8)
     return entries
+
+
+def jacobi_eigenvalues(A, sweep_tol: float = 1e-12, max_sweeps: int = 60) -> np.ndarray:
+    """Reference eigensolver: cyclic Jacobi rotations until off-diagonal decay.
+
+    Textbook implementation kept purely as an oracle for sym_eigenvalues;
+    O(n^3) per sweep with a large constant, intended for n up to a few
+    hundred.  A is an AdjacencyMatrix or a symmetric array; it is copied.
+    """
+    M = np.array(A.entries if isinstance(A, AdjacencyMatrix) else A, dtype=float)
+    n = M.shape[0]
+    if n == 1:
+        return M[0, :1].copy()
+    scale = max(1.0, float(np.abs(M).max()))
+    off_part = np.empty_like(M)
+    for sweep in range(max_sweeps + 1):
+        np.copyto(off_part, M)
+        np.fill_diagonal(off_part, 0.0)
+        off = float(np.linalg.norm(off_part))
+        if off <= sweep_tol * scale * n:
+            break
+        if sweep == max_sweeps:
+            raise ArithmeticError(f"Jacobi iteration did not converge in {max_sweeps} sweeps")
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                # entries already at roundoff scale rotate by ~0 and stall the
+                # sweep; clear them outright instead
+                if abs(M[p, q]) <= 1e-300 or abs(M[p, q]) <= 1e-18 * (abs(M[p, p]) + abs(M[q, q])):
+                    M[p, q] = M[q, p] = 0.0
+                    continue
+                # Rotation angle zeroing M[p, q] (Golub & Van Loan sym. Schur).
+                tau = (M[q, q] - M[p, p]) / (2.0 * M[p, q])
+                if abs(tau) > 1e150:
+                    t = 0.5 / tau  # asymptotic root; tau*tau would overflow
+                else:
+                    t = (1.0 if tau >= 0 else -1.0) / (abs(tau) + np.sqrt(1.0 + tau * tau))
+                c = 1.0 / np.sqrt(1.0 + t * t)
+                s = t * c
+                rot = np.array([[c, s], [-s, c]])
+                M[[p, q], :] = rot.T @ M[[p, q], :]
+                M[:, [p, q]] = M[:, [p, q]] @ rot
+    return np.sort(np.diagonal(M))
+
+
+def binomial_tail_oracle(n: int, prob: float, threshold: float, trials: int, seed: int) -> float:
+    """Monte Carlo estimate of P{|X - n*prob| >= threshold}, X ~ Bin(n, prob)."""
+    if not 0.0 <= prob <= 1.0:
+        raise ValueError(f"need prob in [0,1], got {prob}")
+    if trials < 1:
+        raise ValueError(f"need trials >= 1, got {trials}")
+    rng = np.random.default_rng(seed)
+    draws = rng.binomial(n, prob, size=trials)
+    return float(np.mean(np.abs(draws - n * prob) >= threshold))

@@ -17,8 +17,8 @@ import math
 import numpy as np
 import pytest
 
-from oracles import brute_bottleneck, random_symmetric_01
-from rgg_spectra.bounds import binomial_tail_oracle, lemma1_degree_bound, lemma4_decomposition, lemma6_variance_bound, theorem1_rhs
+from oracles import binomial_tail_oracle, brute_bottleneck, random_symmetric_01
+from rgg_spectra.bounds import lemma1_degree_bound, lemma4_decomposition, lemma6_variance_bound, theorem1_rhs
 from rgg_spectra.cli import main as cli_main
 from rgg_spectra.dgg import dgg_eigenvalues_closed_form, dgg_eigenvalues_dft, dgg_spec
 from rgg_spectra.geometry import INFINITY, MetricSpec, PointSet, ball_volume_theta, grid_points, sample_uniform

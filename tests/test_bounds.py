@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from oracles import binomial_tail_oracle
 from rgg_spectra.bounds import (
-    binomial_tail_oracle,
     lemma1_degree_bound,
     lemma4_decomposition,
     lemma6_variance_bound,

@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rgg_spectra.cli import main
+from rgg_spectra import harness
+from rgg_spectra.cli import build_parser, main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def _run(argv):
@@ -146,6 +151,27 @@ def test_bounds_out_of_regime_is_an_error(tmp_path, capsys):
     assert "M_n" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--t", 0], "need t > 0"),
+        (["--t", -1], "need t > 0"),
+        (["--t", 1000, "--a", 0.5], "need a >= 1"),
+        (["--t", 1000, "--N", 65, "--d", 2], "ceiling"),
+    ],
+    ids=["t-zero", "t-negative", "a-below-one", "order-past-ceiling"],
+)
+def test_bounds_rejects_bad_parameters_before_any_trial(tmp_path, capsys, monkeypatch, extra, message):
+    def refuse(*args):
+        raise AssertionError("a trial ran before the parameters were checked")
+
+    monkeypatch.setattr(harness, "run_trial", refuse)
+    args = ["bounds", "--N", 16, "--d", 1, "--r", 0.499, "--trials", 3, "--out", tmp_path / "out"] + extra
+    assert _run(args) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_bounds_huge_threshold(tmp_path, capsys):
     out = tmp_path / "big"
     assert _run(["bounds", "--N", 16, "--d", 1, "--r", 0.499, "--t", 1e9, "--trials", 3, "--seed", 0, "--out", out]) == 0
@@ -165,3 +191,12 @@ def test_invalid_metric_exponent_is_usage_error(tmp_path):
     with pytest.raises(SystemExit) as excinfo:
         _run(["generate", "--n", 10, "--d", 1, "--p", "0.5", "--r", 0.2, "--out", tmp_path])
     assert excinfo.value.code == 2
+
+
+def test_readme_cli_block_parses():
+    block = README.read_text().split("## CLI", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("rgg-spectra ")]
+    assert {shlex.split(line)[1] for line in lines} == {"generate", "spectrum", "compare", "bounds", "replay"}
+    parser = build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line, comments=True)[1:])

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from oracles import splitmix64_reference
+from rgg_spectra import harness
+from rgg_spectra.dgg import AnalyticRangeError
 from rgg_spectra.harness import (
     CONNECTIVITY,
     EXPLICIT,
@@ -44,18 +46,34 @@ def test_config_derived_quantities():
         ExperimentConfig(N=8, d=1, p=2, radius_rule=EXPLICIT)  # r missing
     with pytest.raises(ValueError):
         ExperimentConfig(N=8, d=1, p=2, r=0.2, trials=0)
+    ExperimentConfig(N=64, d=2, p=2, r=0.2)  # 4096, the eigensolver ceiling itself
+    with pytest.raises(ValueError, match="ceiling"):
+        ExperimentConfig(N=65, d=2, p=2, r=0.2)
+    with pytest.raises(ValueError, match="ceiling"):
+        ExperimentConfig(N=17, d=3, p=INFINITY, radius_rule=CONNECTIVITY)
 
 
 def test_run_trial_invariants_and_determinism():
     cfg = ExperimentConfig(N=8, d=1, p=INFINITY, r=0.2, seed=11)
     first = run_trial(cfg, 0)
     second = run_trial(cfg, 0)
-    assert first == second  # timings excluded from comparison
+    assert first == second  # the assignment array is excluded from comparison
+    assert np.array_equal(first.assignment, second.assignment)
     assert first.levy_cubed <= first.trace_bound + 1e-9
     assert first.m_n >= 0
     assert first.xi_n >= 0
     different = run_trial(cfg, 1)
     assert different.esd_rgg.eigenvalues.shape == first.esd_rgg.eigenvalues.shape
+
+
+def test_run_trial_checks_the_lattice_before_sampling(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("sampled before the lattice was checked")
+
+    monkeypatch.setattr(harness, "sample_uniform", refuse)
+    cfg = ExperimentConfig(N=8, d=1, p=INFINITY, r=0.5, seed=1)  # 2k+1 = 9 > N
+    with pytest.raises(AnalyticRangeError):
+        run_trial(cfg, 0)
 
 
 def test_run_trial_grid_sample_hook():
@@ -74,10 +92,17 @@ def test_run_trial_nonlinf_metric_uses_explicit_lattice_spectrum():
     assert result.levy_cubed == 0.0
 
 
-def test_run_trials_parallel_matches_sequential(monkeypatch):
-    cfg = ExperimentConfig(N=16, d=1, p=INFINITY, r=0.3, seed=2)
+@pytest.mark.parametrize(
+    "cfg",
+    [ExperimentConfig(N=16, d=1, p=INFINITY, r=0.3, seed=2), ExperimentConfig(N=6, d=2, p=2, r=0.3, seed=2)],
+    ids=["d1-linf", "d2-l2"],
+)
+def test_run_trials_parallel_matches_sequential(monkeypatch, cfg):
     monkeypatch.setenv("RGG_SPECTRA_THREADS", "1")
     sequential = run_trials(cfg, 6)
+    # Empty the lattice caches so the threads fill them concurrently.
+    harness.lattice_graph.cache_clear()
+    harness._dgg_esd.cache_clear()
     monkeypatch.setenv("RGG_SPECTRA_THREADS", "3")
     threaded = run_trials(cfg, 6)
     assert sequential == threaded

@@ -5,13 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles import jacobi_eigenvalues
 from rgg_spectra.geometry import MetricSpec, sample_uniform
 from rgg_spectra.graph import build_adjacency
 from rgg_spectra.spectra import (
     MAX_EIG_ORDER,
     esd_eval,
     esd_from_eigenvalues,
-    jacobi_eigenvalues,
     sym_eigenvalues,
 )
 
