@@ -24,6 +24,7 @@ from .bounds import (
 from .dgg import ANALYTIC_RANGE_EXCEEDED, AnalyticRangeError, DggSpec, dgg_degree, dgg_eigenvalues_closed_form, dgg_eigenvalues_dft, dgg_spec
 from .geometry import (
     INFINITY,
+    MAX_PAIRWISE_BYTES,
     MetricSpec,
     PointSet,
     ball_volume_theta,
@@ -69,6 +70,7 @@ __all__ = [
     "Lemma4Terms",
     "LevyResult",
     "MAX_EIG_ORDER",
+    "MAX_PAIRWISE_BYTES",
     "MetricSpec",
     "PointSet",
     "Theorem1Report",

@@ -22,6 +22,10 @@ GRID = "grid"
 # pipelines downstream cap out far earlier anyway.
 _MAX_GRID_POINTS = 1 << 26
 
+# All-pairs distances build an (n_a, n_b, d) float64 array of wrapped deltas;
+# requests past this many bytes for it are refused before allocating.
+MAX_PAIRWISE_BYTES = 1 << 30
+
 
 @dataclass(frozen=True)
 class MetricSpec:
@@ -104,6 +108,12 @@ def torus_distance_matrix(a: PointSet, b: PointSet, m: MetricSpec) -> np.ndarray
     """All-pairs torus l_p distances, shape (a.n, b.n)."""
     if a.d != m.d or b.d != m.d:
         raise ValueError("point sets and metric disagree on dimension")
+    size = a.n * b.n * m.d * 8
+    if size > MAX_PAIRWISE_BYTES:
+        raise ValueError(
+            f"all-pairs distances for {a.n} x {b.n} points in d = {m.d} need {size} bytes, "
+            f"past the limit MAX_PAIRWISE_BYTES = {MAX_PAIRWISE_BYTES}"
+        )
     deltas = _wrapped_deltas(a.coords[:, None, :] - b.coords[None, :, :])
     return _aggregate(deltas, m.p)
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import INFINITY, MetricSpec, PointSet, _aggregate, _wrapped_deltas, ball_volume_theta
+from .geometry import MetricSpec, PointSet, _aggregate, _wrapped_deltas, ball_volume_theta, torus_distance_matrix
 
 
 @dataclass(frozen=True)
@@ -52,13 +52,15 @@ class DegreeSummary:
 
 
 def build_adjacency_reference(points: PointSet, r: float, m: MetricSpec) -> AdjacencyMatrix:
-    """O(n^2) all-pairs construction: the ground-truth edge rule."""
+    """O(n^2) all-pairs construction: the ground-truth edge rule.
+
+    Refused past geometry.MAX_PAIRWISE_BYTES, as torus_distance_matrix is.
+    """
     if points.d != m.d:
         raise ValueError("point set and metric disagree on dimension")
     if not r > 0:
         raise ValueError(f"radius must be positive, got {r}")
-    deltas = _wrapped_deltas(points.coords[:, None, :] - points.coords[None, :, :])
-    close = _aggregate(deltas, m.p) <= r
+    close = torus_distance_matrix(points, points, m) <= r
     np.fill_diagonal(close, False)
     return AdjacencyMatrix(entries=close.astype(np.uint8))
 

@@ -11,9 +11,12 @@ import itertools
 import math
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from rgg_spectra.geometry import MetricSpec, PointSet, torus_distance_matrix
 from rgg_spectra.graph import AdjacencyMatrix
+from rgg_spectra.matching import BottleneckResult
 
 
 def brute_bottleneck(a: PointSet, b: PointSet, m: MetricSpec) -> float:
@@ -26,6 +29,41 @@ def brute_bottleneck(a: PointSet, b: PointSet, m: MetricSpec) -> float:
         if worst < best:
             best = worst
     return best
+
+
+def _full_matching(D: np.ndarray, threshold: float) -> np.ndarray | None:
+    """A perfect row->column matching using only D <= threshold, or None."""
+    mask = csr_matrix(D <= threshold)
+    matched_col = maximum_bipartite_matching(mask, perm_type="column")
+    if np.any(matched_col < 0):
+        return None
+    return matched_col.astype(np.int64)
+
+
+def bisection_bottleneck(sample: PointSet, grid: PointSet, m: MetricSpec) -> BottleneckResult:
+    """Plain bisection over the sorted distinct distances, one probe per step.
+
+    No seed and no tightening: the lowest feasible threshold is probed once
+    more at the end for its assignment.  Reaches sizes brute force cannot.
+    """
+    if sample.n != grid.n:
+        raise ValueError(f"sample and grid sizes differ: {sample.n} vs {grid.n}")
+    D = torus_distance_matrix(sample, grid, m)
+    values = np.unique(D)
+    # Every row and every column must be covered, so the optimum is at least
+    # the largest of the row/column minima; start the search there.
+    lower = max(D.min(axis=1).max(), D.min(axis=0).max())
+    lo = int(np.searchsorted(values, lower))
+    hi = len(values) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _full_matching(D, values[mid]) is not None:
+            hi = mid
+        else:
+            lo = mid + 1
+    assignment = _full_matching(D, values[lo])
+    assert assignment is not None  # feasible at the max pairwise distance
+    return BottleneckResult(m_n=float(values[lo]), assignment=assignment)
 
 
 def brute_cross_edge_count(a_entries: np.ndarray, b_entries: np.ndarray, matching: np.ndarray) -> int:

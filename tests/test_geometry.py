@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from oracles import gamma_ball_volume
+from rgg_spectra import geometry
 from rgg_spectra.geometry import (
     INFINITY,
     MetricSpec,
@@ -93,6 +95,26 @@ def test_grid_points_row_major_layout():
 def test_grid_points_size_guard():
     with pytest.raises(ValueError):
         grid_points(2, 40)  # 2^40 points
+
+
+def test_distance_matrix_refuses_past_the_byte_budget(monkeypatch):
+    big = sample_uniform(8192, 3, 0)  # 8192 x 8192 x 3 doubles = 1.5 GiB of deltas
+    assert big.n * big.n * 3 * 8 > geometry.MAX_PAIRWISE_BYTES
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="MAX_PAIRWISE_BYTES"):
+            torus_distance_matrix(big, big, MetricSpec(d=3, p=2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # refused before allocating
+    # The budget is inclusive.
+    small = sample_uniform(4, 2, 1)
+    monkeypatch.setattr(geometry, "MAX_PAIRWISE_BYTES", 4 * 4 * 2 * 8)
+    assert torus_distance_matrix(small, small, MetricSpec(d=2, p=2)).shape == (4, 4)
+    monkeypatch.setattr(geometry, "MAX_PAIRWISE_BYTES", 4 * 4 * 2 * 8 - 1)
+    with pytest.raises(ValueError, match="MAX_PAIRWISE_BYTES"):
+        torus_distance_matrix(small, small, MetricSpec(d=2, p=2))
 
 
 def test_point_set_validation():

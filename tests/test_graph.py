@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from oracles import brute_cross_edge_count
-from rgg_spectra.geometry import INFINITY, MetricSpec, PointSet, ball_volume_theta, grid_points, sample_uniform
+from rgg_spectra.geometry import INFINITY, MAX_PAIRWISE_BYTES, MetricSpec, PointSet, ball_volume_theta, grid_points, sample_uniform
 from rgg_spectra.graph import (
     AdjacencyMatrix,
     build_adjacency,
@@ -32,6 +34,19 @@ def test_adjacency_basic_invariants():
     assert np.all(np.diag(A.entries) == 0)
     assert A.degrees().dtype == np.int64
     assert np.array_equal(A.degrees(), A.entries.sum(axis=1))
+
+
+def test_reference_refuses_past_the_byte_budget():
+    pts = sample_uniform(8192, 3, 0)  # 8192 x 8192 x 3 doubles = 1.5 GiB of deltas
+    assert pts.n * pts.n * 3 * 8 > MAX_PAIRWISE_BYTES
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="MAX_PAIRWISE_BYTES"):
+            build_adjacency_reference(pts, 0.1, MetricSpec(d=3, p=2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # refused before allocating
 
 
 @pytest.mark.parametrize(

@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 import pytest
 
-from oracles import brute_bottleneck
+import oracles
+from oracles import bisection_bottleneck, brute_bottleneck
+from rgg_spectra import matching
 from rgg_spectra.geometry import INFINITY, MetricSpec, PointSet, grid_points, sample_uniform, torus_distance_matrix
+from rgg_spectra.harness import trial_seed
 from rgg_spectra.matching import bottleneck_matching, bottleneck_rate_envelope
 
 
@@ -22,6 +26,100 @@ def test_matches_brute_force_on_small_instances():
         b = PointSet(d=m.d, coords=rng.random((n, m.d)), kind="sample")
         result = bottleneck_matching(a, b, m)
         assert result.m_n == pytest.approx(brute_bottleneck(a, b, m), abs=1e-15)
+
+
+def _line(*xs: float) -> PointSet:
+    return PointSet(d=1, coords=np.array(xs, dtype=float)[:, None], kind="sample")
+
+
+_D1_CASES = {
+    "random": (_line(0.05, 0.31, 0.33, 0.62, 0.97), _line(0.12, 0.48, 0.5, 0.81, 0.99)),
+    "duplicates": (_line(0.2, 0.2, 0.2, 0.7, 0.7), _line(0.1, 0.3, 0.3, 0.9, 0.95)),
+    "at-zero": (_line(0.0, 0.0, 0.5, 0.98), _line(0.0, 0.01, 0.4, 0.6)),
+    "single": (_line(0.0), _line(0.75)),
+}
+
+
+@pytest.mark.parametrize("p", [1, 2, 3.5, INFINITY], ids=["p1", "p2", "p3.5", "pinf"])
+@pytest.mark.parametrize("case", sorted(_D1_CASES))
+def test_circle_cases_off_the_grid_match_brute_force(case, p):
+    a, b = _D1_CASES[case]
+    m = MetricSpec(d=1, p=p)
+    result = bottleneck_matching(a, b, m)
+    assert result.m_n == brute_bottleneck(a, b, m)
+    D = torus_distance_matrix(a, b, m)
+    assert sorted(result.assignment) == list(range(a.n))
+    assert D[np.arange(a.n), result.assignment].max() == result.m_n
+
+
+@pytest.mark.parametrize(
+    "d,N,p",
+    [(1, N, p) for N in (128, 160) for p in (1, 2, INFINITY)]
+    + [(2, N, p) for N in (8, 12) for p in (1, 2, INFINITY)]
+    + [(3, 4, p) for p in (2, INFINITY)],
+)
+def test_agrees_exactly_with_plain_bisection(d, N, p):
+    m = MetricSpec(d=d, p=p)
+    grid = grid_points(N, d)
+    for seed in range(3):
+        sample = sample_uniform(grid.n, d, 100 * N + seed)
+        result = bottleneck_matching(sample, grid, m)
+        assert result.m_n == bisection_bottleneck(sample, grid, m).m_n
+        assert sorted(result.assignment) == list(range(grid.n))
+        D = torus_distance_matrix(sample, grid, m)
+        assert D[np.arange(grid.n), result.assignment].max() == result.m_n
+
+
+def _count_calls(monkeypatch, module, name: str) -> dict:
+    calls = {"n": 0}
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls["n"] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_circle_match_costs_one_distance_matrix_and_one_probe(monkeypatch):
+    probes = _count_calls(monkeypatch, matching, "maximum_bipartite_matching")
+    distances = _count_calls(monkeypatch, matching, "torus_distance_matrix")
+    grid = grid_points(128, 1)
+    for seed in range(5):
+        probes["n"] = distances["n"] = 0
+        bottleneck_matching(sample_uniform(128, 1, seed), grid, MetricSpec(d=1, p=INFINITY))
+        assert (probes["n"], distances["n"]) == (1, 1)
+
+
+def test_plane_match_probes_no_more_than_plain_bisection(monkeypatch):
+    probes = _count_calls(monkeypatch, matching, "maximum_bipartite_matching")
+    oracle_probes = _count_calls(monkeypatch, oracles, "maximum_bipartite_matching")
+    grid = grid_points(12, 2)
+    for p in (2, INFINITY):
+        for seed in range(3):
+            sample = sample_uniform(grid.n, 2, seed)
+            probes["n"] = oracle_probes["n"] = 0
+            bottleneck_matching(sample, grid, MetricSpec(d=2, p=p))
+            bisection_bottleneck(sample, grid, MetricSpec(d=2, p=p))
+            assert 0 < probes["n"] <= oracle_probes["n"]
+
+
+@pytest.mark.parametrize(
+    "N,d,seed",
+    [(256, 1, trial_seed(5, 7)), (256, 1, trial_seed(5, 22)), (32, 2, trial_seed(0, 23))],
+    ids=["d1-a", "d1-b", "d2"],
+)
+def test_probes_do_not_stall_on_grid_order(N, d, seed):
+    # With the grid's columns in row-major order, scipy's Hopcroft-Karp took
+    # 30 to over 60 s on one probe of each instance; shuffled, under 0.5 s.
+    sample, grid = sample_uniform(N**d, d, seed), grid_points(N, d)
+    start = time.perf_counter()
+    result = bottleneck_matching(sample, grid, MetricSpec(d=d, p=INFINITY))
+    assert time.perf_counter() - start < 10.0
+    D = torus_distance_matrix(sample, grid, MetricSpec(d=d, p=INFINITY))
+    assert sorted(result.assignment) == list(range(grid.n))
+    assert D[np.arange(grid.n), result.assignment].max() == result.m_n
 
 
 def test_witness_assignment_achieves_the_value():
