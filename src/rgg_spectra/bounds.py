@@ -14,10 +14,13 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import INFINITY, MetricSpec, PointSet, ball_volume_theta
-from .graph import build_adjacency, cross_neighbor_count, degree_summary
-from .levy import levy_distance
-from .spectra import esd_from_eigenvalues, sym_eigenvalues
+from .geometry import INFINITY, MetricSpec, ball_volume_theta
+from .graph import AdjacencyMatrix, _check_permutation, cross_neighbor_count, degree_summary
+
+# Unused here; perfbench wraps them here until ROADMAP item 5.
+from .graph import build_adjacency  # noqa: F401
+from .levy import levy_distance  # noqa: F401
+from .spectra import sym_eigenvalues  # noqa: F401
 
 
 def d_power(d: int, exponent_over_p: float, p: float) -> float:
@@ -49,8 +52,8 @@ class Lemma4Terms:
     t0 is (1/n) tr(A_X - A_D)^2 under the alignment; t1 the identical
     degree/cross-count form; t_degree + t_L + t_aprime the triangle-inequality
     aggregate with the empirical cross counts standing in for the binomial
-    variables.  The chain levy_cubed <= t0 = t1 <= eq1_total holds on every
-    instance.
+    variables.  The chain L^3 <= t0 = t1 <= eq1_total holds on every
+    instance, with L the Levy distance between the two spectra.
     """
 
     t0: float
@@ -58,7 +61,6 @@ class Lemma4Terms:
     t_degree: float
     t_L: float
     t_aprime: float
-    levy_cubed: float
 
     @property
     def eq1_total(self) -> float:
@@ -66,24 +68,20 @@ class Lemma4Terms:
 
 
 def lemma4_decomposition(
-    sample: PointSet, grid: PointSet, matching: np.ndarray, r: float, m: MetricSpec
+    A_X: AdjacencyMatrix, A_D: AdjacencyMatrix, matching: np.ndarray, r: float, m: MetricSpec
 ) -> Lemma4Terms:
-    """Evaluate the decomposition chain on one (sample, grid, matching) instance."""
-    if sample.n != grid.n:
-        raise ValueError(f"sample and grid sizes differ: {sample.n} vs {grid.n}")
-    n = sample.n
-    matching = np.asarray(matching, dtype=np.int64)
-    if matching.shape != (n,) or not np.array_equal(np.sort(matching), np.arange(n)):
-        raise ValueError("matching must be a permutation of 0..n-1")
-    A_X = build_adjacency(sample, r, m)
-    A_D = build_adjacency(grid, r, m)
+    """Evaluate the decomposition chain on the sample adjacency A_X, the
+    lattice adjacency A_D (both at radius r under m) and the alignment
+    i -> matching[i]."""
+    n = A_X.n
+    matching = _check_permutation(matching, n)
+    cross = cross_neighbor_count(A_X, A_D, matching)  # also checks that the orders agree
     aligned = A_D.entries[np.ix_(matching, matching)].astype(np.int64)
     diff = A_X.entries.astype(np.int64) - aligned
     t0 = float((diff * diff).sum()) / n
 
     mean_degree = float(A_X.degrees().mean())
     aprime_emp = float(A_D.degrees().mean())
-    cross = cross_neighbor_count(A_X, A_D, matching)
     t1 = mean_degree + aprime_emp - 2.0 * float(cross.sum()) / n
 
     a_n = degree_summary(A_X, n, m.d, r).average_degree_theoretical
@@ -91,13 +89,7 @@ def lemma4_decomposition(
     t_degree = coeff * abs(mean_degree - a_n)
     t_L = coeff * abs(a_n - 2.0 * float(cross.sum()) / n)
 
-    esd_sample = esd_from_eigenvalues(sym_eigenvalues(A_X))
-    esd_grid = esd_from_eigenvalues(sym_eigenvalues(A_D))
-    levy_cubed = levy_distance(esd_sample, esd_grid).distance ** 3
-
-    return Lemma4Terms(
-        t0=t0, t1=t1, t_degree=t_degree, t_L=t_L, t_aprime=aprime_emp, levy_cubed=levy_cubed
-    )
+    return Lemma4Terms(t0=t0, t1=t1, t_degree=t_degree, t_L=t_L, t_aprime=aprime_emp)
 
 
 @dataclass(frozen=True)

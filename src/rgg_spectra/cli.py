@@ -33,7 +33,7 @@ from .harness import (
 )
 from .levy import levy_distance, levy_distance_oracle
 from .matching import bottleneck_matching  # noqa: F401  perfbench wraps it here until ROADMAP item 5
-from .spectra import esd_from_eigenvalues, sym_eigenvalues
+from .spectra import Esd, esd_from_eigenvalues, sym_eigenvalues
 
 CLOSED_FORM_REQUIRES_LINF = "CLOSED_FORM_REQUIRES_LINF"
 
@@ -140,6 +140,12 @@ def _read_eigenvalues_csv(path: str) -> np.ndarray:
     return np.array(values)
 
 
+def _step_cdf(esd: Esd, color: str) -> tuple[np.ndarray, np.ndarray, str]:
+    """One curve for _svg_step_plot: the distinct eigenvalues and the CDF at each."""
+    atoms = np.unique(esd.eigenvalues)
+    return atoms, np.searchsorted(esd.eigenvalues, atoms, side="right") / esd.n, color
+
+
 def _svg_step_plot(curves: list[tuple[np.ndarray, np.ndarray, str]], title: str) -> str:
     """Minimal hand-written step plot: axes plus one polyline per CDF."""
     width, height = 640, 400
@@ -231,10 +237,8 @@ def cmd_spectrum(opts: dict) -> int:
         values = sym_eigenvalues(build_adjacency(points, opts["r"], metric))
     _write_csv(out / "eigenvalues.csv", ["eigenvalue"], [values])
     if opts["plot"]:
-        esd = esd_from_eigenvalues(values)
-        atoms = np.unique(esd.eigenvalues)
-        cdf = np.searchsorted(esd.eigenvalues, atoms, side="right") / esd.n
-        _write_text(out / "cdf.svg", _svg_step_plot([(atoms, cdf, "#1f77b4")], "spectral CDF"))
+        curve = _step_cdf(esd_from_eigenvalues(values), "#1f77b4")
+        _write_text(out / "cdf.svg", _svg_step_plot([curve], "spectral CDF"))
     _write_manifest(
         out,
         "spectrum",
@@ -270,17 +274,8 @@ def cmd_compare(opts: dict) -> int:
             }
         )
         if opts["plot"]:
-            rgg_atoms = np.unique(esd_a.eigenvalues)
-            rgg_cdf = np.searchsorted(esd_a.eigenvalues, rgg_atoms, side="right") / esd_a.n
-            dgg_atoms = np.unique(esd_b.eigenvalues)
-            dgg_cdf = np.searchsorted(esd_b.eigenvalues, dgg_atoms, side="right") / esd_b.n
-            _write_text(
-                out / "cdf.svg",
-                _svg_step_plot(
-                    [(rgg_atoms, rgg_cdf, "#1f77b4"), (dgg_atoms, dgg_cdf, "#d62728")],
-                    f"empirical vs analytic CDF, n={result.n}",
-                ),
-            )
+            curves = [_step_cdf(esd_a, "#1f77b4"), _step_cdf(esd_b, "#d62728")]
+            _write_text(out / "cdf.svg", _svg_step_plot(curves, f"empirical vs analytic CDF, n={result.n}"))
     else:
         esd_a = esd_from_eigenvalues(_read_eigenvalues_csv(opts["esd_a"]))
         esd_b = esd_from_eigenvalues(_read_eigenvalues_csv(opts["esd_b"]))
@@ -337,9 +332,9 @@ def cmd_bounds(opts: dict) -> int:
 
     theorem1 = theorem1_rhs(cfg.t, n, cfg.d, cfg.p, r, a_n, m_n_max, cfg.a)
 
-    sample0 = sample_uniform(n, cfg.d, trial_seed(cfg.seed, 0))
-    grid = lattice_graph(cfg.N, cfg.d, cfg.p, r)[0]
-    lemma4 = lemma4_decomposition(sample0, grid, results[0].assignment, r, cfg.metric)
+    A_X = build_adjacency(sample_uniform(n, cfg.d, trial_seed(cfg.seed, 0)), r, cfg.metric)
+    A_D = lattice_graph(cfg.N, cfg.d, cfg.p, r)[1]
+    lemma4 = lemma4_decomposition(A_X, A_D, results[0].assignment, r, cfg.metric)
 
     report = BoundReport(
         lemma1=lemma1_degree_bound(cfg.d, cfg.p, a_n),
@@ -411,15 +406,22 @@ def cmd_replay(opts: dict) -> int:
         N, d, r = args["dgg"]
         args["dgg"] = (int(N), int(d), float(r))
     args["out"] = opts["out"]
-    dispatch = {
+    commands = _commands()
+    if command not in commands or command == "replay":
+        raise CliError(f"manifest names unknown command {command!r}")
+    return commands[command](args)
+
+
+def _commands() -> dict:
+    """Every subcommand by name.  Built on each call, so that a wrapper set on
+    one of this module's cmd_* attributes (perfbench traces cmd_bounds) runs."""
+    return {
         "generate": cmd_generate,
         "spectrum": cmd_spectrum,
         "compare": cmd_compare,
         "bounds": cmd_bounds,
+        "replay": cmd_replay,
     }
-    if command not in dispatch:
-        raise CliError(f"manifest names unknown command {command!r}")
-    return dispatch[command](args)
 
 
 def _parse_dgg(text: str) -> tuple[int, int, float]:
@@ -497,15 +499,8 @@ def main(argv: list[str] | None = None) -> int:
     command = opts.pop("command")
     if command == "compare" and not opts.get("fig1") and opts.get("esd_b") is None:
         parser.error("--esd-a needs --esd-b")
-    dispatch = {
-        "generate": cmd_generate,
-        "spectrum": cmd_spectrum,
-        "compare": cmd_compare,
-        "bounds": cmd_bounds,
-        "replay": cmd_replay,
-    }
     try:
-        return dispatch[command](opts)
+        return _commands()[command](opts)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

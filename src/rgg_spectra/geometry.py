@@ -83,8 +83,9 @@ def _wrapped_deltas(diff: np.ndarray) -> np.ndarray:
 def _aggregate(deltas: np.ndarray, p: float) -> np.ndarray:
     """l_p aggregate of wrapped deltas along the last axis.
 
-    Shared by the all-pairs reference and the cell-list path in graph.py so
-    that both produce bit-identical doubles.
+    Shared by torus_distance_matrix (hence the all-pairs reference) and the
+    blocked build_adjacency in graph.py, so that both produce bit-identical
+    doubles.
     """
     if p == INFINITY:
         return deltas.max(axis=-1)

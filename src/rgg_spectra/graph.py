@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import MetricSpec, PointSet, _aggregate, _wrapped_deltas, ball_volume_theta, torus_distance_matrix
+from .geometry import MAX_PAIRWISE_BYTES, MetricSpec, PointSet, _aggregate, _wrapped_deltas, ball_volume_theta, torus_distance_matrix
 
 
 @dataclass(frozen=True)
@@ -65,65 +65,36 @@ def build_adjacency_reference(points: PointSet, r: float, m: MetricSpec) -> Adja
     return AdjacencyMatrix(entries=close.astype(np.uint8))
 
 
-def _build_adjacency_cells(points: PointSet, r: float, m: MetricSpec, cells_per_axis: int) -> AdjacencyMatrix:
-    """Cell-list construction; bit-identical to the reference.
-
-    Points are bucketed into a C^d grid of cells with side 1/C >= r.  Because
-    the max-coordinate delta never exceeds the l_p distance, any edge joins
-    points in the same or axis-adjacent cells (wrapping), so only those
-    candidate pairs are tested -- with the exact same distance kernel as the
-    reference.
-    """
-    n, d = points.n, points.d
-    C = cells_per_axis
-    cell_of = np.minimum((points.coords * C).astype(np.int64), C - 1)
-    flat = np.zeros(n, dtype=np.int64)
-    for axis in range(d):
-        flat = flat * C + cell_of[:, axis]
-    order = np.argsort(flat, kind="stable")
-    sorted_flat = flat[order]
-    starts = np.searchsorted(sorted_flat, np.arange(C**d))
-    ends = np.searchsorted(sorted_flat, np.arange(C**d), side="right")
-
-    offsets = np.stack(np.meshgrid(*(np.array([-1, 0, 1]),) * d, indexing="ij"), axis=-1).reshape(-1, d)
-    cell_coords = np.stack(np.unravel_index(np.arange(C**d), (C,) * d), axis=-1)
-
-    entries = np.zeros((n, n), dtype=np.uint8)
-    coords = points.coords
-    for cell_index in range(C**d):
-        members = order[starts[cell_index] : ends[cell_index]]
-        if members.size == 0:
-            continue
-        neighbor_cells = (cell_coords[cell_index] + offsets) % C
-        neighbor_flat = np.zeros(len(neighbor_cells), dtype=np.int64)
-        for axis in range(d):
-            neighbor_flat = neighbor_flat * C + neighbor_cells[:, axis]
-        neighbor_flat = np.unique(neighbor_flat)
-        candidates = np.concatenate([order[starts[c] : ends[c]] for c in neighbor_flat])
-        deltas = _wrapped_deltas(coords[members][:, None, :] - coords[candidates][None, :, :])
-        close = _aggregate(deltas, m.p) <= r
-        ii = np.repeat(members, candidates.size)
-        jj = np.tile(candidates, members.size)
-        keep = close.ravel() & (ii != jj)
-        entries[ii[keep], jj[keep]] = 1
-    return AdjacencyMatrix(entries=entries)
+# build_adjacency evaluates its rows in blocks holding about this many bytes of
+# wrapped deltas; 1 MiB measured fastest.
+_BLOCK_BYTES = 1 << 20
 
 
 def build_adjacency(points: PointSet, r: float, m: MetricSpec) -> AdjacencyMatrix:
-    """Adjacency of the geometric graph: edge iff 0 < torus l_p distance <= r.
+    """Adjacency of the geometric graph: edge iff i != j and torus l_p distance <= r.
 
-    Uses the cell-list path when the radius is small enough for at least a
-    3-per-axis cell grid and n is large enough to pay off; output is
-    bit-identical to build_adjacency_reference in all cases.
+    The reference's all-pairs rule on the same distance kernel, a block of
+    rows at a time, so the output is bit-identical to
+    build_adjacency_reference.  An n x n result past
+    geometry.MAX_PAIRWISE_BYTES is refused before allocating.
     """
     if points.d != m.d:
         raise ValueError("point set and metric disagree on dimension")
     if not r > 0:
         raise ValueError(f"radius must be positive, got {r}")
-    cells_per_axis = int(1.0 / r) if r < 1.0 else 0
-    if points.n >= 512 and cells_per_axis >= 3:
-        return _build_adjacency_cells(points, r, m, cells_per_axis)
-    return build_adjacency_reference(points, r, m)
+    n, coords = points.n, points.coords
+    if n * n > MAX_PAIRWISE_BYTES:
+        raise ValueError(
+            f"the adjacency of {n} points needs {n * n} bytes, "
+            f"past the limit MAX_PAIRWISE_BYTES = {MAX_PAIRWISE_BYTES}"
+        )
+    rows = max(1, _BLOCK_BYTES // (n * m.d * 8))
+    entries = np.empty((n, n), dtype=np.uint8)
+    for start in range(0, n, rows):
+        block = coords[start : start + rows]
+        entries[start : start + rows] = _aggregate(_wrapped_deltas(block[:, None, :] - coords[None, :, :]), m.p) <= r
+    np.fill_diagonal(entries, 0)
+    return AdjacencyMatrix(entries=entries)
 
 
 def degree_summary(A: AdjacencyMatrix, n: int, d: int, r: float) -> DegreeSummary:

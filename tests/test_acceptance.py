@@ -161,9 +161,12 @@ def test_criterion_07_decomposition_identity():
         grid = grid_points(N, d)
         matching = rng.permutation(n)
         r = float(rng.uniform(0.05, 0.45))
-        terms = lemma4_decomposition(sample, grid, matching, r, MetricSpec(d=d, p=p))
+        m = MetricSpec(d=d, p=p)
+        A_X, A_D = build_adjacency(sample, r, m), build_adjacency(grid, r, m)
+        terms = lemma4_decomposition(A_X, A_D, matching, r, m)
+        esd_x, esd_d = (esd_from_eigenvalues(sym_eigenvalues(A)) for A in (A_X, A_D))
         worst_gap = max(worst_gap, abs(terms.t0 - terms.t1))
-        worst_chain = max(worst_chain, terms.levy_cubed - terms.t0)
+        worst_chain = max(worst_chain, levy_distance(esd_x, esd_d).distance ** 3 - terms.t0)
     ok = worst_gap <= 1e-9 and worst_chain <= 1e-9
     _verdict(7, ok, f"50 instances, max |T0 - T1| = {worst_gap:.3e}, max(L^3 - T0) = {worst_chain:.3e}")
     assert ok

@@ -18,6 +18,14 @@ from rgg_spectra.bounds import (
 from rgg_spectra.dgg import dgg_degree, dgg_spec
 from rgg_spectra.geometry import INFINITY, MetricSpec, ball_volume_theta, grid_points, sample_uniform
 from rgg_spectra.graph import build_adjacency
+from rgg_spectra.levy import levy_distance
+from rgg_spectra.spectra import esd_from_eigenvalues, sym_eigenvalues
+
+
+def _levy_cubed(A_X, A_D) -> float:
+    """Cubed Levy distance between the two adjacency spectra."""
+    esd_x, esd_d = (esd_from_eigenvalues(sym_eigenvalues(A)) for A in (A_X, A_D))
+    return levy_distance(esd_x, esd_d).distance ** 3
 
 
 def test_degree_bound_examples():
@@ -141,10 +149,11 @@ def test_decomposition_identity_on_identity_instance():
     grid = grid_points(4, 2)
     sample = type(grid)(d=2, coords=grid.coords.copy(), kind="sample")
     m = MetricSpec(d=2, p=INFINITY)
-    terms = lemma4_decomposition(sample, grid, np.arange(16), 0.3, m)
+    A_X, A_D = build_adjacency(sample, 0.3, m), build_adjacency(grid, 0.3, m)
+    terms = lemma4_decomposition(A_X, A_D, np.arange(16), 0.3, m)
     assert terms.t0 == 0.0
     assert abs(terms.t1) <= 1e-12
-    assert terms.levy_cubed == 0.0
+    assert _levy_cubed(A_X, A_D) == 0.0
 
 
 def test_decomposition_identity_and_chain_on_random_instances():
@@ -159,9 +168,10 @@ def test_decomposition_identity_and_chain_on_random_instances():
         grid = grid_points(N, d)
         matching = rng.permutation(n)
         r = float(rng.uniform(0.08, 0.45))
-        terms = lemma4_decomposition(sample, grid, matching, r, m)
+        A_X, A_D = build_adjacency(sample, r, m), build_adjacency(grid, r, m)
+        terms = lemma4_decomposition(A_X, A_D, matching, r, m)
         assert terms.t0 == pytest.approx(terms.t1, abs=1e-9)
-        assert terms.levy_cubed <= terms.t0 + 1e-9
+        assert _levy_cubed(A_X, A_D) <= terms.t0 + 1e-9
         assert terms.t0 <= terms.eq1_total + 1e-9
         assert terms.t_degree >= 0 and terms.t_L >= 0 and terms.t_aprime >= 0
 
@@ -172,19 +182,21 @@ def test_decomposition_term_formulas():
     sample = sample_uniform(n, 1, 3)
     grid = grid_points(N, 1)
     matching = np.arange(n)
-    terms = lemma4_decomposition(sample, grid, matching, r, m)
-    mean_deg = build_adjacency(sample, r, m).degrees().mean()
+    A_X, A_D = build_adjacency(sample, r, m), build_adjacency(grid, r, m)
+    terms = lemma4_decomposition(A_X, A_D, matching, r, m)
+    mean_deg = A_X.degrees().mean()
     a_n = ball_volume_theta(1) * n * r
     coeff = 2.0 ** (1 + 1)  # d^{1/p} 2^{d+1} with d=1
     assert terms.t_degree == pytest.approx(coeff * abs(mean_deg - a_n), rel=1e-12)
-    grid_degree = build_adjacency(grid, r, m).degrees()
-    assert terms.t_aprime == pytest.approx(float(grid_degree.mean()), rel=1e-12)
+    assert terms.t_aprime == pytest.approx(float(A_D.degrees().mean()), rel=1e-12)
     assert terms.eq1_total == pytest.approx(terms.t_degree + terms.t_L + terms.t_aprime, rel=1e-12)
 
 
 def test_decomposition_rejects_non_permutation():
     m = MetricSpec(d=1, p=2)
-    sample = sample_uniform(4, 1, 1)
-    grid = grid_points(4, 1)
-    with pytest.raises(ValueError):
-        lemma4_decomposition(sample, grid, np.array([0, 0, 1, 2]), 0.2, m)
+    A_X = build_adjacency(sample_uniform(4, 1, 1), 0.2, m)
+    A_D = build_adjacency(grid_points(4, 1), 0.2, m)
+    with pytest.raises(ValueError, match="permutation"):
+        lemma4_decomposition(A_X, A_D, np.array([0, 0, 1, 2]), 0.2, m)
+    with pytest.raises(ValueError, match="orders differ"):
+        lemma4_decomposition(A_X, build_adjacency(grid_points(5, 1), 0.2, m), np.arange(4), 0.2, m)

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import inspect
 import json
+import re
 import shlex
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rgg_spectra
 from rgg_spectra import harness
 from rgg_spectra.cli import build_parser, main
 
@@ -193,6 +196,14 @@ def test_invalid_metric_exponent_is_usage_error(tmp_path):
     assert excinfo.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["replay", "plot"])
+def test_replay_refuses_a_manifest_naming_no_data_command(tmp_path, capsys, command):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"command": command, "args": {"manifest": str(manifest)}}))
+    assert _run(["replay", "--manifest", manifest, "--out", tmp_path / "out"]) == 2
+    assert f"unknown command {command!r}" in capsys.readouterr().err
+
+
 def test_readme_cli_block_parses():
     block = README.read_text().split("## CLI", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
     lines = [line for line in block.splitlines() if line.startswith("rgg-spectra ")]
@@ -200,3 +211,19 @@ def test_readme_cli_block_parses():
     parser = build_parser()
     for line in lines:
         parser.parse_args(shlex.split(line, comments=True)[1:])
+
+
+def test_readme_calls_bind_to_signatures():
+    """Every un-nested `name(args)` in the README that names a public function
+    passes an argument count its signature accepts."""
+    checked = 0
+    for name, args in re.findall(r"`(\w+)\(([^()`]*)\)`", README.read_text()):
+        if name not in rgg_spectra.__all__:
+            continue
+        parts = [part.strip() for part in args.split(",") if part.strip()]
+        try:
+            inspect.signature(getattr(rgg_spectra, name)).bind(*parts)
+        except TypeError as exc:
+            pytest.fail(f"README `{name}({args})` does not fit the signature: {exc}")
+        checked += 1
+    assert checked >= 10

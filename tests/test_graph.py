@@ -1,7 +1,8 @@
-"""Adjacency construction (reference and cell-list paths) and degree stats."""
+"""Adjacency construction (blocked all-pairs against the reference) and degree stats."""
 
 from __future__ import annotations
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from oracles import brute_cross_edge_count
 from rgg_spectra.geometry import INFINITY, MAX_PAIRWISE_BYTES, MetricSpec, PointSet, ball_volume_theta, grid_points, sample_uniform
 from rgg_spectra.graph import (
+    _BLOCK_BYTES,
     AdjacencyMatrix,
     build_adjacency,
     build_adjacency_reference,
@@ -49,28 +51,64 @@ def test_reference_refuses_past_the_byte_budget():
     assert peak < 1 << 20  # refused before allocating
 
 
+def test_build_adjacency_refuses_past_the_byte_budget():
+    pts = sample_uniform(32769, 1, 0)  # 32769 x 32769 uint8 entries, just past 1 GiB
+    assert pts.n * pts.n > MAX_PAIRWISE_BYTES
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="MAX_PAIRWISE_BYTES"):
+            build_adjacency(pts, 0.1, MetricSpec(d=1, p=2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # refused before allocating
+
+
+def _tie_radii(N: int) -> tuple[float, ...]:
+    """r = k/N for k up to N/2, each with both floating-point neighbours."""
+    return tuple(x for k in range(1, N // 2 + 1) for x in (np.nextafter(k / N, 0.0), k / N, np.nextafter(k / N, 1.0)))
+
+
+def _duplicated_sample() -> PointSet:
+    pts = sample_uniform(80, 2, 8)
+    return PointSet(d=2, coords=np.concatenate([pts.coords, pts.coords[:30], pts.coords[:5]]), kind="sample")
+
+
+def _ragged_sample(d: int) -> PointSet:
+    """A sample spanning three and a half of build_adjacency's row blocks."""
+    n = math.isqrt(int(3.5 * _BLOCK_BYTES / (8 * d)))
+    rows = _BLOCK_BYTES // (8 * n * d)
+    assert n // rows >= 3 and n % rows
+    return sample_uniform(n, d, 13)
+
+
 @pytest.mark.parametrize(
-    "n,d,p,r",
+    "points,p,radii",
     [
-        (600, 1, INFINITY, 0.05),
-        (700, 2, 2, 0.2),
-        (520, 2, 1, 0.3),
-        (600, 3, INFINITY, 0.25),
-        (550, 2, 3, 0.15),
+        pytest.param(sample_uniform(600, 1, 601), INFINITY, (0.05,), id="600-1-inf-0.05"),
+        pytest.param(sample_uniform(700, 2, 702), 2, (0.2,), id="700-2-2-0.2"),
+        pytest.param(sample_uniform(520, 2, 522), 1, (0.3,), id="520-2-1-0.3"),
+        pytest.param(sample_uniform(600, 3, 603), INFINITY, (0.25,), id="600-3-inf-0.25"),
+        pytest.param(sample_uniform(550, 2, 552), 3, (0.15,), id="550-2-3-0.15"),
+        pytest.param(sample_uniform(60, 2, 4), INFINITY, (0.2,), id="60-2-inf-0.2"),
+        *(
+            pytest.param(grid_points(N, d), p, _tie_radii(N), id=f"ties-N{N}-d{d}-p{p}")
+            for d, sides in ((1, (64, 60)), (2, (16, 12)), (3, (8, 6)))
+            for N in sides
+            for p in (1, 2, 3.5, INFINITY)
+        ),
+        pytest.param(_duplicated_sample(), 2, (0.1,), id="duplicates"),
+        pytest.param(sample_uniform(50, 2, 5), INFINITY, (0.5, 0.75), id="r-past-half-pinf"),
+        pytest.param(sample_uniform(50, 3, 6), 2, (0.5, 0.8, 0.9), id="r-past-half-p2"),
+        pytest.param(sample_uniform(1, 2, 7), 2, (0.1, 0.5), id="n1"),
+        pytest.param(_ragged_sample(2), 2, (0.1,), id="ragged-blocks"),
     ],
 )
-def test_cell_list_path_bit_identical_to_reference(n, d, p, r):
-    pts = sample_uniform(n, d, seed=n + d)
-    m = MetricSpec(d=d, p=p)
-    fast = build_adjacency(pts, r, m)  # n >= 512 and int(1/r) >= 3: cell path
-    ref = build_adjacency_reference(pts, r, m)
-    assert np.array_equal(fast.entries, ref.entries)
-
-
-def test_small_instances_dispatch_matches_reference():
-    pts = sample_uniform(60, 2, 4)
-    m = MetricSpec(d=2, p=INFINITY)
-    assert np.array_equal(build_adjacency(pts, 0.2, m).entries, build_adjacency_reference(pts, 0.2, m).entries)
+def test_build_adjacency_bit_identical_to_reference(points, p, radii):
+    m = MetricSpec(d=points.d, p=p)
+    for r in radii:
+        fast = build_adjacency(points, r, m)
+        assert np.array_equal(fast.entries, build_adjacency_reference(points, r, m).entries), r
 
 
 def test_grid_adjacency_is_regular():
