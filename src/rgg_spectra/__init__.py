@@ -50,7 +50,7 @@ from .harness import (
 )
 from .levy import LevyResult, levy_distance, levy_distance_oracle, trace_bound
 from .matching import BottleneckResult, bottleneck_matching, bottleneck_rate_envelope
-from .spectra import MAX_EIG_ORDER, Esd, esd_eval, esd_from_eigenvalues, sym_eigenvalues
+from .spectra import MAX_EIG_ORDER, Esd, esd_eval, esd_from_eigenvalues, sym_eigenvalues, twin_classes
 
 __all__ = [
     "__version__",
@@ -108,4 +108,5 @@ __all__ = [
     "torus_distance_matrix",
     "trace_bound",
     "trial_seed",
+    "twin_classes",
 ]

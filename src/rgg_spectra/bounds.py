@@ -123,6 +123,12 @@ def check_tail_parameters(t: float, a: float) -> None:
         raise ValueError(f"need a >= 1, got {a}")
 
 
+def check_matching_regime(r: float, M_n: float) -> None:
+    """Reject a bottleneck distance M_n with r <= 2 M_n, outside Theorem 1."""
+    if not r > 2.0 * M_n:
+        raise ValueError(f"need r > 2*M_n, got r={r}, M_n={M_n}")
+
+
 def theorem1_rhs(
     t: float, n: int, d: int, p: float, r: float, a_n: float, M_n: float, a: float
 ) -> Theorem1Report:
@@ -132,8 +138,7 @@ def theorem1_rhs(
     r <= 2 M_n is a hard error since the bound's derivation needs r > 2 M_n.
     """
     check_tail_parameters(t, a)
-    if not r > 2.0 * M_n:
-        raise ValueError(f"need r > 2*M_n, got r={r}, M_n={M_n}")
+    check_matching_regime(r, M_n)
     if not a_n > 0:
         raise ValueError(f"need a_n > 0, got {a_n}")
 

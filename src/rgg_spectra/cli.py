@@ -19,7 +19,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .bounds import BoundReport, check_tail_parameters, lemma1_degree_bound, lemma4_decomposition, lemma6_variance_bound, theorem1_rhs
+from .bounds import BoundReport, check_matching_regime, check_tail_parameters, lemma1_degree_bound, lemma4_decomposition, lemma6_variance_bound, theorem1_rhs
 from .dgg import dgg_eigenvalues_closed_form, dgg_eigenvalues_dft, dgg_spec
 from .geometry import INFINITY, MetricSpec, PointSet, ball_volume_theta, grid_points, sample_uniform
 from .graph import build_adjacency, edge_list_text
@@ -268,6 +268,8 @@ def cmd_compare(opts: dict) -> int:
                 "r": result.r,
                 "a_n_implied": result.a_n_implied,
                 "k": result.k,
+                "twin_frac": result.twin_frac,
+                "atom_minus1_frac": result.atom_minus1_frac,
                 "levy": result.levy,
                 "levy_cubed": result.levy**3,
                 "trace_bound": None,
@@ -324,10 +326,11 @@ def cmd_bounds(opts: dict) -> int:
     )
     check_tail_parameters(cfg.t, cfg.a)
     out = _out_dir(opts)
-    results = run_trials(cfg, cfg.trials)
+    r = cfg.radius
+    results = run_trials(cfg, cfg.trials, check=lambda result: check_matching_regime(r, result.m_n))
     p_hat, stderr = probability_from_results(results, cfg.t, cfg.trials)
     m_n_max = max(result.m_n for result in results)
-    n, r = cfg.n, cfg.radius
+    n = cfg.n
     a_n = ball_volume_theta(cfg.d) * n * r**cfg.d
 
     theorem1 = theorem1_rhs(cfg.t, n, cfg.d, cfg.p, r, a_n, m_n_max, cfg.a)

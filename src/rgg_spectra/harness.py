@@ -26,7 +26,7 @@ from .geometry import INFINITY, MetricSpec, PointSet, ball_volume_theta, grid_po
 from .graph import AdjacencyMatrix, build_adjacency
 from .levy import levy_distance, trace_bound
 from .matching import bottleneck_matching
-from .spectra import MAX_EIG_ORDER, Esd, esd_from_eigenvalues, sym_eigenvalues
+from .spectra import MAX_EIG_ORDER, Esd, esd_from_eigenvalues, sym_eigenvalues, twin_classes
 
 EXPLICIT = "explicit"
 CONNECTIVITY = "connectivity"
@@ -161,13 +161,25 @@ def _worker_count() -> int:
     return max(1, count)
 
 
-def run_trials(cfg: ExperimentConfig, trials: int) -> list[TrialResult]:
-    """All trial results in trial-index order (parallelism never reorders)."""
+def run_trials(cfg: ExperimentConfig, trials: int, check=None) -> list[TrialResult]:
+    """All trial results in trial-index order (parallelism never reorders).
+
+    check, if given, is called on each result in that order as soon as it
+    is ready; an exception it raises stops the trials not yet started and
+    propagates.
+    """
     workers = _worker_count()
-    if workers == 1:
-        return [run_trial(cfg, i) for i in range(trials)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda i: run_trial(cfg, i), range(trials)))
+    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
+    results = []
+    try:
+        for result in (pool.map if pool else map)(lambda i: run_trial(cfg, i), range(trials)):
+            if check is not None:
+                check(result)
+            results.append(result)
+    finally:
+        if pool:
+            pool.shutdown(cancel_futures=True)
+    return results
 
 
 def estimate_probability(cfg: ExperimentConfig, trials: int) -> tuple[float, float]:
@@ -184,9 +196,19 @@ def probability_from_results(results: list[TrialResult], t: float, trials: int) 
     return p_hat, stderr
 
 
+# Eigenvalues this close to -1 count toward Figure1Result.atom_minus1_frac.
+ATOM_TOLERANCE = 1e-9
+
+
 @dataclass(frozen=True)
 class Figure1Result:
-    """Paired-CDF table: merged x grid, both CDFs, and their Levy distance."""
+    """Paired-CDF table: merged x grid, both CDFs, and their Levy distance.
+
+    twin_frac is 1 - (number of true-twin classes)/n for the random graph,
+    and atom_minus1_frac the share of its eigenvalues within ATOM_TOLERANCE of
+    -1; that atom, absent from the lattice spectrum, keeps the Levy
+    distance near 0.15.
+    """
 
     x: np.ndarray = field(repr=False)
     cdf_rgg: np.ndarray = field(repr=False)
@@ -197,6 +219,8 @@ class Figure1Result:
     r: float
     a_n_implied: float
     k: int
+    twin_frac: float
+    atom_minus1_frac: float
     esd_rgg: Esd = field(repr=False)
     esd_dgg: Esd = field(repr=False)
 
@@ -206,7 +230,8 @@ def figure1_experiment(n: int = 2000, d: int = 1, seed: int = 1) -> Figure1Resul
 
     n must be a perfect d-th power so the lattice has the same size.  Emits
     the union-of-atoms x grid, the random-graph empirical CDF, the analytic
-    lattice CDF, and their Levy distance.
+    lattice CDF, their Levy distance, and the random graph's twin share and
+    -1 atom.
     """
     N = round(n ** (1.0 / d))
     if N**d != n:
@@ -215,7 +240,8 @@ def figure1_experiment(n: int = 2000, d: int = 1, seed: int = 1) -> Figure1Resul
 
     esd_dgg = _dgg_esd(N, d, INFINITY, r)
     sample = sample_uniform(n, d, seed)
-    esd_rgg = esd_from_eigenvalues(sym_eigenvalues(build_adjacency(sample, r, MetricSpec(d=d, p=INFINITY))))
+    A = build_adjacency(sample, r, MetricSpec(d=d, p=INFINITY))
+    esd_rgg = esd_from_eigenvalues(sym_eigenvalues(A))
 
     x = np.unique(np.concatenate([esd_rgg.eigenvalues, esd_dgg.eigenvalues]))
     cdf_rgg = np.searchsorted(esd_rgg.eigenvalues, x, side="right") / esd_rgg.n
@@ -233,6 +259,8 @@ def figure1_experiment(n: int = 2000, d: int = 1, seed: int = 1) -> Figure1Resul
         r=r,
         a_n_implied=a_n_implied,
         k=dgg_spec(N, d, r).k,
+        twin_frac=1.0 - twin_classes(A)[0].size / n,
+        atom_minus1_frac=float(np.mean(np.abs(esd_rgg.eigenvalues + 1.0) <= ATOM_TOLERANCE)),
         esd_rgg=esd_rgg,
         esd_dgg=esd_dgg,
     )

@@ -1,8 +1,11 @@
 """Symmetric eigendecomposition and empirical spectral distributions (ESDs).
 
-The eigensolver is LAPACK via numpy.linalg.eigvalsh.  An Esd is a sorted
-eigenvalue vector defining the right-continuous step CDF
-F(x) = (1/n) #{i : lambda_i <= x}.
+The eigensolver is LAPACK via numpy.linalg.eigvalsh.  An adjacency matrix is
+first reduced by its true-twin classes (vertices whose rows of A + I are
+equal): that partition is equitable, so the spectrum is the spectrum of the
+k x k quotient plus n - k exact eigenvalues -1 (Godsil & Royle, Algebraic
+Graph Theory, section 9.3).  An Esd is a sorted eigenvalue vector defining
+the right-continuous step CDF F(x) = (1/n) #{i : lambda_i <= x}.
 """
 
 from __future__ import annotations
@@ -17,24 +20,49 @@ from .graph import AdjacencyMatrix
 MAX_EIG_ORDER = 4096
 
 
-def _as_symmetric_array(A) -> np.ndarray:
-    """Validate and return a float copy of an AdjacencyMatrix or array."""
-    if isinstance(A, AdjacencyMatrix):
-        return A.entries.astype(float)
-    M = np.asarray(A, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {M.shape}")
-    if not np.allclose(M, M.T, rtol=0.0, atol=1e-12):
-        raise ValueError("matrix is not symmetric within 1e-12")
-    return M
+def _check_order(n: int) -> None:
+    if n > MAX_EIG_ORDER:
+        raise ValueError(f"order {n} exceeds the dense-eigensolver ceiling {MAX_EIG_ORDER}")
+
+
+def twin_classes(A: AdjacencyMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """True-twin classes of a graph: vertices whose rows of A + I are equal.
+
+    Returns each class's first vertex, ascending, and the class sizes.  Rows
+    are compared exactly, as packed bit strings.
+    """
+    closed = A.entries.copy()
+    np.fill_diagonal(closed, 1)
+    packed = np.packbits(closed, axis=1)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, heads, sizes = np.unique(keys, return_index=True, return_counts=True)
+    order = np.argsort(heads)
+    return heads[order], sizes[order]
 
 
 def sym_eigenvalues(A) -> np.ndarray:
-    """All eigenvalues of a real symmetric matrix, ascending (LAPACK)."""
-    M = _as_symmetric_array(A)
-    if M.shape[0] > MAX_EIG_ORDER:
-        raise ValueError(f"order {M.shape[0]} exceeds the dense-eigensolver ceiling {MAX_EIG_ORDER}")
-    return np.linalg.eigvalsh(M)
+    """All eigenvalues of a real symmetric matrix, ascending (LAPACK).
+
+    An AdjacencyMatrix is reduced by twin_classes first: with heads h and
+    sizes s, the quotient Q_ij = sqrt(s_i s_j) A[h_i, h_j] off the diagonal
+    and Q_ii = s_i - 1, and the spectrum is eigvalsh(Q) plus n - k copies of
+    exactly -1.0.  Without twins Q equals A, so the result is the plain
+    eigvalsh(A) bit for bit.
+    """
+    if not isinstance(A, AdjacencyMatrix):
+        M = np.asarray(A, dtype=float)
+        if M.ndim != 2 or M.shape[0] != M.shape[1]:
+            raise ValueError(f"matrix must be square, got shape {M.shape}")
+        _check_order(M.shape[0])
+        if not np.allclose(M, M.T, rtol=0.0, atol=1e-12):
+            raise ValueError("matrix is not symmetric within 1e-12")
+        return np.linalg.eigvalsh(M)
+    _check_order(A.n)
+    heads, sizes = twin_classes(A)
+    root = np.sqrt(sizes.astype(float))
+    Q = A.entries[heads][:, heads] * np.outer(root, root)
+    np.fill_diagonal(Q, sizes - 1.0)
+    return np.sort(np.concatenate([np.linalg.eigvalsh(Q), np.full(A.n - heads.size, -1.0)]))
 
 
 @dataclass(frozen=True, eq=False)

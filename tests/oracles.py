@@ -114,6 +114,18 @@ def random_symmetric_01(n: int, density: float, rng: np.random.Generator) -> np.
     return entries
 
 
+def twin_classes_oracle(A: AdjacencyMatrix) -> tuple[list[int], list[int]]:
+    """First vertex and size of each true-twin class, by comparing every
+    pair of rows of A + I as Python tuples."""
+    closed = [tuple(row) for row in (A.entries + np.eye(A.n, dtype=np.uint8)).tolist()]
+    heads, sizes = [], []
+    for i, row in enumerate(closed):
+        if closed.index(row) == i:
+            heads.append(i)
+            sizes.append(closed.count(row))
+    return heads, sizes
+
+
 def jacobi_eigenvalues(A, sweep_tol: float = 1e-12, max_sweeps: int = 60) -> np.ndarray:
     """Reference eigensolver: cyclic Jacobi rotations until off-diagonal decay.
 

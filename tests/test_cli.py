@@ -128,6 +128,7 @@ def test_compare_fig1_small(tmp_path):
     payload = json.loads((out / "compare.json").read_text())
     assert payload["n"] == 256
     assert 0 <= payload["levy"] <= 1.5
+    assert 0 < payload["twin_frac"] <= payload["atom_minus1_frac"] < 1
     assert (out / "cdf.svg").exists()
 
 
@@ -148,10 +149,19 @@ def test_bounds_command_and_replay(tmp_path):
     assert (out / "trials.csv").read_bytes() == (replayed / "trials.csv").read_bytes()
 
 
-def test_bounds_out_of_regime_is_an_error(tmp_path, capsys):
-    rc = _run(["bounds", "--N", 8, "--d", 1, "--r", 0.3, "--t", 10, "--trials", 3, "--seed", 0, "--out", tmp_path])
-    assert rc == 1
-    assert "M_n" in capsys.readouterr().err
+def test_bounds_out_of_regime_is_an_error(tmp_path, capsys, monkeypatch):
+    ran = []
+    run_trial = harness.run_trial
+    monkeypatch.setattr(harness, "run_trial", lambda cfg, i: ran.append(i) or run_trial(cfg, i))
+    # At N = 8, seed 0, trials 0 and 1 have m_n 0.120 and 0.130 and trial 2
+    # has 0.253, so r = 0.3 first leaves the regime r > 2 m_n at trial 2 and
+    # r = 0.2 at trial 0; no later trial runs.
+    for r, trials, calls in ((0.3, 3, 3), (0.3, 6, 3), (0.2, 3, 1)):
+        ran.clear()
+        rc = _run(["bounds", "--N", 8, "--d", 1, "--r", r, "--t", 10, "--trials", trials, "--seed", 0, "--out", tmp_path])
+        assert rc == 1
+        assert "need r > 2*M_n" in capsys.readouterr().err
+        assert ran == list(range(calls))
 
 
 @pytest.mark.parametrize(

@@ -108,6 +108,22 @@ def test_run_trials_parallel_matches_sequential(monkeypatch, cfg):
     assert sequential == threaded
 
 
+@pytest.mark.parametrize("threads", ["1", "3"])
+def test_run_trials_check_stops_at_the_first_rejected_trial(monkeypatch, threads):
+    monkeypatch.setenv("RGG_SPECTRA_THREADS", threads)
+    cfg = ExperimentConfig(N=8, d=1, p=INFINITY, r=0.3, seed=0)
+    seen = []
+
+    def check(result):
+        seen.append(result)
+        if len(seen) == 2:
+            raise ValueError("rejected")
+
+    with pytest.raises(ValueError, match="rejected"):
+        run_trials(cfg, 6, check=check)
+    assert seen == run_trials(cfg, 2)
+
+
 def test_probability_estimates():
     cfg = ExperimentConfig(N=16, d=1, p=INFINITY, r=0.3, seed=1, t=-1.0, trials=40)
     p_hat, stderr = estimate_probability(cfg, 40)
@@ -140,6 +156,18 @@ def test_figure1_structure():
     assert result.levy >= 0
     assert result.k == int(256 * result.r)
     assert result.a_n_implied == pytest.approx(2 * 256 * result.r, rel=1e-15)
+
+
+def test_figure1_twin_share_is_a_third():
+    """In d = 1 two sorted neighbours with gap g are twins iff the two arcs of
+    length g at distance r from them hold no point, which has probability
+    integral of n e^{-ng} e^{-2ng} dg = 1/3 at any n and r.  Those twins'
+    exact -1 eigenvalues are the atom that keeps criterion 1 red."""
+    for seed in (1, 2, 3):
+        result = figure1_experiment(n=2000, d=1, seed=seed)
+        print(f"seed {seed}: twin_frac {result.twin_frac:.4f}, atom_minus1_frac {result.atom_minus1_frac:.4f}")
+        assert abs(result.twin_frac - 1.0 / 3.0) <= 0.05
+        assert result.atom_minus1_frac >= result.twin_frac
 
 
 def test_figure1_requires_perfect_power():

@@ -5,14 +5,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from oracles import jacobi_eigenvalues
-from rgg_spectra.geometry import MetricSpec, sample_uniform
-from rgg_spectra.graph import build_adjacency
+from oracles import jacobi_eigenvalues, twin_classes_oracle
+from rgg_spectra import spectra
+from rgg_spectra.geometry import INFINITY, MetricSpec, PointSet, grid_points, sample_uniform
+from rgg_spectra.graph import AdjacencyMatrix, build_adjacency
 from rgg_spectra.spectra import (
     MAX_EIG_ORDER,
     esd_eval,
     esd_from_eigenvalues,
     sym_eigenvalues,
+    twin_classes,
 )
 
 
@@ -37,9 +39,80 @@ def test_jacobi_on_adjacency_matrix():
     assert np.max(np.abs(jacobi_eigenvalues(A) - sym_eigenvalues(A))) <= 1e-10
 
 
-def test_order_ceiling_enforced():
+def _duplicated_points() -> PointSet:
+    base = sample_uniform(30, 1, 5).coords
+    return PointSet(d=1, coords=np.concatenate([base, base[:10], base[:4]]), kind="sample")
+
+
+# Graphs for the twin-class reduction: (points, r, metric).  The lattices at
+# off-tie radii and the edgeless graph have no twins; r >= 1/2 gives K_n.
+GRAPHS = {
+    "lattice-d1": (grid_points(40, 1), 0.1125, MetricSpec(d=1, p=INFINITY)),
+    "lattice-d2": (grid_points(8, 2), 0.3125, MetricSpec(d=2, p=2)),
+    "complete": (sample_uniform(25, 2, 1), 0.5, MetricSpec(d=2, p=INFINITY)),
+    "edgeless": (sample_uniform(25, 1, 2), 1e-6, MetricSpec(d=1, p=INFINITY)),
+    "duplicated": (_duplicated_points(), 0.1, MetricSpec(d=1, p=1)),
+    "n1": (sample_uniform(1, 1, 3), 0.2, MetricSpec(d=1, p=INFINITY)),
+    "random-d1": (sample_uniform(400, 1, 4), 0.03, MetricSpec(d=1, p=INFINITY)),
+    "random-d2": (sample_uniform(400, 2, 6), 0.12, MetricSpec(d=2, p=2)),
+}
+
+
+def _adjacency(name: str) -> AdjacencyMatrix:
+    points, r, metric = GRAPHS[name]
+    return build_adjacency(points, r, metric)
+
+
+@pytest.mark.parametrize("name", sorted(GRAPHS))
+def test_twin_quotient_matches_the_dense_solver(name):
+    A = _adjacency(name)
+    heads, sizes = twin_classes(A)
+    assert (heads.tolist(), sizes.tolist()) == twin_classes_oracle(A)
+    values = sym_eigenvalues(A)
+    assert values.shape == (A.n,)
+    assert np.all(np.diff(values) >= 0)
+    assert np.max(np.abs(values - np.linalg.eigvalsh(A.entries.astype(float)))) <= 1e-10
+    # Trace identities: sum = tr A = 0 and sum of squares = tr A^2 = degree sum.
+    degree_sum = float(A.degrees().sum())
+    assert abs(values.sum()) <= 1e-12 * max(degree_sum, 1.0)
+    assert abs(values @ values - degree_sum) <= 1e-12 * max(degree_sum, 1.0)
+    # Every vertex beyond its class's first contributes an exact -1.
+    assert np.count_nonzero(values == -1.0) >= A.n - heads.size
+
+
+@pytest.mark.parametrize("name", ["lattice-d1", "lattice-d2", "edgeless", "n1"])
+def test_twin_free_spectrum_is_bit_identical(name):
+    A = _adjacency(name)
+    heads, sizes = twin_classes(A)
+    assert np.array_equal(heads, np.arange(A.n)) and np.all(sizes == 1)
+    assert np.array_equal(sym_eigenvalues(A), np.linalg.eigvalsh(A.entries.astype(float)))
+
+
+def test_complete_graph_is_one_class():
+    A = _adjacency("complete")
+    heads, sizes = twin_classes(A)
+    assert heads.tolist() == [0] and sizes.tolist() == [A.n]
+    expected = np.array([-1.0] * (A.n - 1) + [A.n - 1.0])
+    assert np.array_equal(sym_eigenvalues(A), expected)
+
+
+def test_twin_quotient_agrees_with_jacobi():
+    A = _adjacency("duplicated")
+    assert twin_classes(A)[0].size < A.n
+    assert np.max(np.abs(jacobi_eigenvalues(A) - sym_eigenvalues(A))) <= 1e-10
+
+
+def test_order_ceiling_enforced(monkeypatch):
     with pytest.raises(ValueError):
         sym_eigenvalues(np.zeros((MAX_EIG_ORDER + 1, MAX_EIG_ORDER + 1)))
+
+    def refuse(A):
+        raise AssertionError("twin classes were searched before the order was checked")
+
+    monkeypatch.setattr(spectra, "twin_classes", refuse)
+    too_big = AdjacencyMatrix(entries=np.zeros((MAX_EIG_ORDER + 1, MAX_EIG_ORDER + 1), dtype=np.uint8))
+    with pytest.raises(ValueError, match="ceiling"):
+        sym_eigenvalues(too_big)
 
 
 def test_symmetry_required():
