@@ -22,8 +22,11 @@ GRID = "grid"
 # pipelines downstream cap out far earlier anyway.
 _MAX_GRID_POINTS = 1 << 26
 
-# All-pairs distances build an (n_a, n_b, d) float64 array of wrapped deltas;
-# requests past this many bytes for it are refused before allocating.
+# All-pairs distance requests are refused before allocating when n_a * n_b * d
+# float64 values pass this many bytes, the size of the full array of wrapped
+# deltas.  The per-axis kernel never builds that array; it holds up to three
+# (n_a, n_b) float64 arrays at once.  The measure is kept so that the same
+# inputs are refused as before.
 MAX_PAIRWISE_BYTES = 1 << 30
 
 
@@ -74,26 +77,39 @@ def torus_coordinate_delta(a: float, b: float) -> float:
     return min(gap, 1.0 - gap)
 
 
-def _wrapped_deltas(diff: np.ndarray) -> np.ndarray:
-    """Elementwise wrapped deltas for an array of raw coordinate differences."""
-    gap = np.abs(diff)
-    return np.minimum(gap, 1.0 - gap)
+def _torus_distances(a: np.ndarray, b: np.ndarray, p: float) -> np.ndarray:
+    """l_p torus distances between the rows of a (n_a, d) and b (n_b, d), shape (n_a, n_b).
 
-
-def _aggregate(deltas: np.ndarray, p: float) -> np.ndarray:
-    """l_p aggregate of wrapped deltas along the last axis.
-
-    Shared by torus_distance_matrix (hence the all-pairs reference) and the
-    blocked build_adjacency in graph.py, so that both produce bit-identical
-    doubles.
+    One axis at a time: the wrapped deltas of that axis are folded into the
+    (n_a, n_b) result (np.maximum for l_inf, in-place += of |delta|, delta^2
+    or delta^p otherwise), and the root is taken once at the end.  The
+    accumulation runs in axis order, which matches numpy's sum over a short
+    last axis bit for bit up to d = 7.  torus_distance,
+    torus_distance_matrix and the row blocks of build_adjacency in graph.py
+    all call this, so they produce identical doubles.
     """
-    if p == INFINITY:
-        return deltas.max(axis=-1)
-    if p == 1:
-        return deltas.sum(axis=-1)
+    total = None
+    wrapped = np.empty((len(a), len(b)))
+    for axis in range(a.shape[1]):
+        delta = np.subtract.outer(a[:, axis], b[:, axis])
+        np.abs(delta, out=delta)
+        np.subtract(1.0, delta, out=wrapped)
+        np.minimum(delta, wrapped, out=delta)
+        if p == 2:
+            np.multiply(delta, delta, out=delta)
+        elif p != 1 and p != INFINITY:
+            np.power(delta, p, out=delta)
+        if total is None:
+            total = delta
+        elif p == INFINITY:
+            np.maximum(total, delta, out=total)
+        else:
+            total += delta
     if p == 2:
-        return np.sqrt((deltas * deltas).sum(axis=-1))
-    return (deltas**p).sum(axis=-1) ** (1.0 / p)
+        return np.sqrt(total, out=total)
+    if p == 1 or p == INFINITY:
+        return total
+    return total ** (1.0 / p)
 
 
 def torus_distance(x, y, m: MetricSpec) -> float:
@@ -102,7 +118,7 @@ def torus_distance(x, y, m: MetricSpec) -> float:
     y = np.asarray(y, dtype=float)
     if x.shape != (m.d,) or y.shape != (m.d,):
         raise ValueError(f"expected coordinate vectors of length {m.d}, got {x.shape} and {y.shape}")
-    return float(_aggregate(_wrapped_deltas(x - y), m.p))
+    return float(_torus_distances(x[None, :], y[None, :], m.p)[0, 0])
 
 
 def torus_distance_matrix(a: PointSet, b: PointSet, m: MetricSpec) -> np.ndarray:
@@ -115,8 +131,7 @@ def torus_distance_matrix(a: PointSet, b: PointSet, m: MetricSpec) -> np.ndarray
             f"all-pairs distances for {a.n} x {b.n} points in d = {m.d} need {size} bytes, "
             f"past the limit MAX_PAIRWISE_BYTES = {MAX_PAIRWISE_BYTES}"
         )
-    deltas = _wrapped_deltas(a.coords[:, None, :] - b.coords[None, :, :])
-    return _aggregate(deltas, m.p)
+    return _torus_distances(a.coords, b.coords, m.p)
 
 
 def ball_volume_theta(d: int) -> float:

@@ -5,9 +5,11 @@ The Levy distance between CDFs F and G is the infimum of all eps > 0 with
 F(x - eps) - eps <= G(x) <= F(x + eps) + eps for every x.  For step CDFs the
 worst x of each one-sided inequality is a jump point of the CDF on its outer
 side (between jumps that side is constant while the other side is
-nondecreasing), so feasibility at a given eps reduces to finitely many atom
-checks, and the infimum itself is found by bisection over the monotone
-feasibility predicate.
+nondecreasing), so the condition reduces to one inequality per atom:
+F(f_i) - eps <= G(f_i + eps) at the atoms f_i of F, and the same with F and G
+swapped.  Each atom's inequality holds exactly from its own smallest eps on,
+which one searchsorted finds for all atoms at once (see _atom_levels); the
+distance is the largest of these levels, or 0 when none is positive.
 """
 
 from __future__ import annotations
@@ -29,46 +31,39 @@ class LevyResult:
     certificate_x: float
 
 
-def _feasible(F: np.ndarray, G: np.ndarray, eps: float) -> bool:
-    """Exact Definition check at eps for sorted atom vectors F and G."""
-    nf, ng = len(F), len(G)
-    F_at_own = np.arange(1, nf + 1) / nf
-    G_at_own = np.arange(1, ng + 1) / ng
-    # F(f) - eps <= G(f + eps) at every atom f of F (lower inequality),
-    # G(g) - eps <= F(g + eps) at every atom g of G (upper inequality).
-    G_shift = np.searchsorted(G, F + eps, side="right") / ng
-    if np.any(F_at_own - eps > G_shift):
-        return False
-    F_shift = np.searchsorted(F, G + eps, side="right") / nf
-    return not np.any(G_at_own - eps > F_shift)
+def _atom_levels(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Smallest eps with F(f_i) - eps <= G(f_i + eps), for every atom f_i of F.
+
+    With c atoms of G at or below f_i + eps (g_{c-1} <= f_i + eps, g_{-1} =
+    -inf), the level is min over c of max(g_{c-1} - f_i, (i+1)/n_f - c/n_g).
+    The first term rises with c and the second falls, so the minimum sits
+    where they cross: at the first c with u_c = g_{c-1} + c/n_g >= f_i +
+    (i+1)/n_f, or just before it.  u rises with c, so one searchsorted
+    over c = 1..n_g returns k = c - 1 for every atom at once; the level is
+    the smaller of g_k - f_i (none when k = n_g) and (i+1)/n_f - k/n_g.
+    """
+    nf, ng = len(f), len(g)
+    own = np.arange(1, nf + 1) / nf
+    k = np.searchsorted(g + np.arange(1, ng + 1) / ng, f + own, side="left")
+    reach = np.where(k < ng, g[np.minimum(k, ng - 1)] - f, math.inf)
+    return np.minimum(reach, own - k / ng)
 
 
-def _violation_x(F: np.ndarray, G: np.ndarray, eps: float) -> float:
-    """The atom with the largest Definition violation at an infeasible eps."""
-    nf, ng = len(F), len(G)
-    gaps_f = np.arange(1, nf + 1) / nf - eps - np.searchsorted(G, F + eps, side="right") / ng
-    gaps_g = np.arange(1, ng + 1) / ng - eps - np.searchsorted(F, G + eps, side="right") / nf
-    if gaps_f.max() >= gaps_g.max():
-        return float(F[int(np.argmax(gaps_f))])
-    return float(G[int(np.argmax(gaps_g))])
+def levy_distance(F: Esd, G: Esd) -> LevyResult:
+    """Levy distance between two ESDs, exact up to rounding, in one pass.
 
-
-def levy_distance(F: Esd, G: Esd, tol: float = 1e-9) -> LevyResult:
-    """Levy distance between two ESDs to within tol, by bisection."""
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    The certificate is the atom whose inequality sets the distance.
+    """
     f, g = F.eigenvalues, G.eigenvalues
-    if _feasible(f, g, 0.0):
+    levels_f, levels_g = _atom_levels(f, g), _atom_levels(g, f)
+    i, j = int(np.argmax(levels_f)), int(np.argmax(levels_g))
+    if levels_f[i] >= levels_g[j]:
+        distance, certificate = levels_f[i], f[i]
+    else:
+        distance, certificate = levels_g[j], g[j]
+    if not distance > 0:
         return LevyResult(distance=0.0, certificate_x=math.nan)
-    lo = 0.0
-    hi = max(f[-1], g[-1]) - min(f[0], g[0]) + 1.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if _feasible(f, g, mid):
-            hi = mid
-        else:
-            lo = mid
-    return LevyResult(distance=hi, certificate_x=_violation_x(f, g, lo))
+    return LevyResult(distance=float(distance), certificate_x=float(certificate))
 
 
 def levy_distance_oracle(F: Esd, G: Esd, grid_step: float = 1e-3) -> float:

@@ -2,18 +2,28 @@
 
 The optimum is one of the n^2 pairwise torus distances.  A threshold is
 feasible when the pairs within it admit a perfect matching, a maximum
-bipartite matching (Hopcroft-Karp) question.  The search keeps the best
-perfect matching found so far: the lowest feasible threshold is at most that
-matching's largest distance, and at least the largest row/column minimum of
-the distance matrix.  Every feasible probe lowers the upper end to the largest
+bipartite matching (Hopcroft-Karp) question.  The optimum is at least the
+largest row/column minimum of the distance matrix (`lower`), since every row
+and every column must be covered.
+
+The search runs on one candidate list: the pairs within a feasible cap, in
+row-major order, with their distinct distances sorted once (the threshold
+graph technique of Efrat, Itai & Katz, "Geometry helps in bottleneck matching
+and related problems", Algorithmica 31, 2001).  A probe at threshold t is the
+CSR of the candidates within t, which is the whole threshold graph D <= t
+because t never exceeds the cap.  The search keeps the best perfect matching
+found so far: every feasible probe lowers the upper end to the largest
 distance of the matching it returns, and the search ends holding an optimal
 assignment, so it never probes the optimum a second time.
 
-In d = 1 the search starts from the best cyclic shift of sorted order, which
-is optimal on the circle; one infeasible probe just below its value then
-certifies it.  In d >= 2 it starts from the identity bijection and bisects.
-The grid's columns are probed in a fixed shuffled order: in row-major grid
-order scipy's Hopcroft-Karp can spend a minute on a probe that takes 0.01 s
+In d = 1 the cap is the bottleneck of the best cyclic shift of sorted order,
+which is optimal on the circle; one infeasible probe just below its value
+then certifies it.  In d >= 2 the cap starts at 2 * lower: the whole
+candidate set is probed once, and the cap widens by half (up to the largest
+distance, where the graph is complete) until it holds a perfect matching;
+the search then bisects the candidates' distinct distances.  The grid's
+columns are probed in a fixed shuffled order: in row-major grid order
+scipy's Hopcroft-Karp can spend a minute on a probe that takes 0.01 s
 shuffled.
 
 Also provides the d-dependent rate envelopes used for empirical rate
@@ -40,13 +50,32 @@ class BottleneckResult:
     assignment: np.ndarray = field(repr=False)
 
 
-def _full_matching(D: np.ndarray, threshold: float) -> np.ndarray | None:
-    """A perfect row->column matching using only D <= threshold, or None."""
-    mask = csr_matrix(D <= threshold)
-    matched_col = maximum_bipartite_matching(mask, perm_type="column")
-    if np.any(matched_col < 0):
-        return None
-    return matched_col.astype(np.int64)
+@dataclass(frozen=True)
+class _Candidates:
+    """The pairs within a cap: rows, columns and distances in row-major order."""
+
+    n: int
+    rows: np.ndarray
+    cols: np.ndarray
+    dist: np.ndarray
+
+    @classmethod
+    def within(cls, D: np.ndarray, cap: float) -> "_Candidates":
+        flat = np.flatnonzero(D <= cap)
+        rows, cols = np.divmod(flat, D.shape[1])
+        return cls(n=D.shape[0], rows=rows, cols=cols.astype(np.int32), dist=D.ravel()[flat])
+
+    def full_matching(self, threshold: float) -> np.ndarray | None:
+        """A perfect row->column matching using only pairs within threshold, or None."""
+        keep = self.dist <= threshold
+        indptr = np.zeros(self.n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(self.rows[keep], minlength=self.n), out=indptr[1:])
+        cols = self.cols[keep]
+        graph = csr_matrix((np.ones(len(cols), dtype=bool), cols, indptr), shape=(self.n, self.n))
+        matched_col = maximum_bipartite_matching(graph, perm_type="column")
+        if np.any(matched_col < 0):
+            return None
+        return matched_col.astype(np.int64)
 
 
 def _cyclic_shift_seed(sample: PointSet, grid: PointSet, D: np.ndarray) -> np.ndarray:
@@ -100,18 +129,27 @@ def bottleneck_matching(sample: PointSet, grid: PointSet, m: MetricSpec) -> Bott
     cols = np.random.default_rng(0).permutation(grid.n)
     grid = PointSet(d=grid.d, coords=grid.coords[cols], kind=grid.kind)
     D = torus_distance_matrix(sample, grid, m)
-    values = np.unique(D)
-    # Every row and every column must be covered, so the optimum is at least
-    # the largest of the row/column minima; start the search there.
     lower = max(D.min(axis=1).max(), D.min(axis=0).max())
+    # Invariant: best is a perfect matching within the candidates' cap.
+    if m.d == 1:
+        best = _cyclic_shift_seed(sample, grid, D)
+        candidates = _Candidates.within(D, D[np.arange(sample.n), best].max())
+    else:
+        cap, top = 2.0 * lower, D.max()
+        while True:
+            candidates = _Candidates.within(D, cap)
+            best = candidates.full_matching(cap)
+            if best is not None:
+                break
+            cap = min(1.5 * cap, top) if cap > 0 else top
+    values = np.unique(candidates.dist)
     lo = int(np.searchsorted(values, lower))
     # Invariant: best is a perfect matching with largest distance values[hi].
-    best = _cyclic_shift_seed(sample, grid, D) if m.d == 1 else np.arange(sample.n)
     hi = _bottleneck_index(values, D, best)
     # The d = 1 seed is optimal, so probe just below it first.
     mid = hi - 1 if m.d == 1 else (lo + hi) // 2
     while lo < hi:
-        found = _full_matching(D, values[mid])
+        found = candidates.full_matching(values[mid])
         if found is None:
             lo = mid + 1
         else:

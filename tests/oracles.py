@@ -17,6 +17,7 @@ from scipy.sparse.csgraph import maximum_bipartite_matching
 from rgg_spectra.geometry import MetricSpec, PointSet, torus_distance_matrix
 from rgg_spectra.graph import AdjacencyMatrix
 from rgg_spectra.matching import BottleneckResult
+from rgg_spectra.spectra import Esd
 
 
 def brute_bottleneck(a: PointSet, b: PointSet, m: MetricSpec) -> float:
@@ -64,6 +65,46 @@ def bisection_bottleneck(sample: PointSet, grid: PointSet, m: MetricSpec) -> Bot
     assignment = _full_matching(D, values[lo])
     assert assignment is not None  # feasible at the max pairwise distance
     return BottleneckResult(m_n=float(values[lo]), assignment=assignment)
+
+
+def axis_reduction_distances(a: np.ndarray, b: np.ndarray, p: float) -> np.ndarray:
+    """All-pairs torus l_p distances from the full (n_a, n_b, d) array of
+    wrapped deltas, reduced over its last axis by numpy."""
+    gap = np.abs(a[:, None, :] - b[None, :, :])
+    deltas = np.minimum(gap, 1.0 - gap)
+    if p == math.inf:
+        return deltas.max(axis=-1)
+    if p == 1:
+        return deltas.sum(axis=-1)
+    if p == 2:
+        return np.sqrt((deltas * deltas).sum(axis=-1))
+    return (deltas**p).sum(axis=-1) ** (1.0 / p)
+
+
+def levy_feasible(f: np.ndarray, g: np.ndarray, eps: float) -> bool:
+    """Definition check at eps for sorted atom vectors f and g, atom by atom."""
+    nf, ng = len(f), len(g)
+    # F(f) - eps <= G(f + eps) at every atom f of F (lower inequality),
+    # G(g) - eps <= F(g + eps) at every atom g of G (upper inequality).
+    if np.any(np.arange(1, nf + 1) / nf - eps > np.searchsorted(g, f + eps, side="right") / ng):
+        return False
+    return not np.any(np.arange(1, ng + 1) / ng - eps > np.searchsorted(f, g + eps, side="right") / nf)
+
+
+def levy_bisection(F: Esd, G: Esd, tol: float = 1e-9) -> float:
+    """Levy distance to within tol by bisection over the monotone levy_feasible."""
+    f, g = F.eigenvalues, G.eigenvalues
+    if levy_feasible(f, g, 0.0):
+        return 0.0
+    lo = 0.0
+    hi = max(f[-1], g[-1]) - min(f[0], g[0]) + 1.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if levy_feasible(f, g, mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def brute_cross_edge_count(a_entries: np.ndarray, b_entries: np.ndarray, matching: np.ndarray) -> int:

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import gamma_ball_volume
+from oracles import axis_reduction_distances, gamma_ball_volume
 from rgg_spectra import geometry
 from rgg_spectra.geometry import (
     INFINITY,
@@ -52,6 +52,24 @@ def test_distance_matrix_shape_and_symmetry():
     assert np.all(np.diag(D) == 0.0)
     # no pair on the unit torus is farther than (d * 0.5^p)^(1/p)
     assert D.max() <= math.sqrt(2 * 0.25) + 1e-12
+
+
+@pytest.mark.parametrize("p", [1, 2, 3.5, INFINITY], ids=["p1", "p2", "p3.5", "pinf"])
+@pytest.mark.parametrize("d", range(1, 11))
+def test_per_axis_kernel_matches_the_axis_reduction(d, p):
+    rng = np.random.default_rng(10 * d + 3)
+    a = PointSet(d=d, coords=rng.random((37, d)), kind="sample")
+    b = PointSet(d=d, coords=np.concatenate([rng.random((29, d)), a.coords[:5]]), kind="sample")
+    m = MetricSpec(d=d, p=p)
+    D = torus_distance_matrix(a, b, m)
+    expected = axis_reduction_distances(a.coords, b.coords, p)
+    if d <= 7:
+        assert np.array_equal(D, expected)
+    else:
+        # numpy sums a reduced axis of length >= 8 pairwise, not in axis
+        # order, so the last bits may differ there.
+        assert np.all(np.abs(D - expected) <= 4 * np.spacing(expected))
+    assert torus_distance(a.coords[3], b.coords[7], m) == D[3, 7]
 
 
 def test_metric_spec_validation():

@@ -80,7 +80,7 @@ def test_run_trial_grid_sample_hook():
     cfg = ExperimentConfig(N=8, d=1, p=INFINITY, r=0.2, seed=3, sample_from_grid=True)
     result = run_trial(cfg, 0)
     # closed-form lattice eigenvalues differ from the dense solver's only in
-    # the last float bits, so the distance is bounded by the bisection width
+    # the last float bits, so the distance is at most that discrepancy
     assert result.levy_cubed <= 1e-27
     assert result.trace_bound == 0.0
     assert result.m_n == 0.0

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import brute_trace_quadratic, random_symmetric_01
+from oracles import brute_trace_quadratic, levy_bisection, levy_feasible, random_symmetric_01
 from rgg_spectra.graph import AdjacencyMatrix
 from rgg_spectra.levy import levy_distance, levy_distance_oracle, trace_bound
 from rgg_spectra.spectra import esd_from_eigenvalues, sym_eigenvalues
@@ -67,6 +67,28 @@ def test_exact_matches_oracle_on_random_atom_pairs():
         exact = levy_distance(f, g).distance
         grid = levy_distance_oracle(f, g, step)
         assert abs(exact - grid) <= 2e-3
+
+
+def _atoms(rng, size):
+    """Random atoms with repeats: rounded uniforms or draws from a small pool."""
+    if rng.random() < 0.5:
+        return np.round(rng.uniform(-2, 2, size=size), int(rng.integers(0, 3)))
+    return rng.choice(rng.uniform(-2, 2, size=6), size=size)
+
+
+def test_one_pass_agrees_with_bisection_and_is_tight():
+    rng = np.random.default_rng(53)
+    for _ in range(500):
+        f = _esd(_atoms(rng, int(rng.integers(1, 30))))
+        g = _esd(_atoms(rng, int(rng.integers(1, 30))))
+        result = levy_distance(f, g)
+        assert abs(result.distance - levy_bisection(f, g)) <= 1e-9
+        assert levy_feasible(f.eigenvalues, g.eigenvalues, result.distance + 1e-12)
+        if result.distance > 0:
+            assert not levy_feasible(f.eigenvalues, g.eigenvalues, result.distance - 1e-9)
+            assert result.certificate_x in f.eigenvalues or result.certificate_x in g.eigenvalues
+        else:
+            assert math.isnan(result.certificate_x)
 
 
 def test_trace_bound_matches_brute_force():

@@ -105,6 +105,84 @@ def test_plane_match_probes_no_more_than_plain_bisection(monkeypatch):
             assert 0 < probes["n"] <= oracle_probes["n"]
 
 
+def _count_edges(monkeypatch, module) -> dict:
+    """Count the probes made through module and the edges they carry."""
+    seen = {"probes": 0, "edges": 0, "feasible": []}
+    original = module.maximum_bipartite_matching
+
+    def counted(graph, **kwargs):
+        matched = original(graph, **kwargs)
+        seen["probes"] += 1
+        seen["edges"] += graph.nnz
+        seen["feasible"].append(bool(np.all(matched >= 0)))
+        return matched
+
+    monkeypatch.setattr(module, "maximum_bipartite_matching", counted)
+    return seen
+
+
+def _unbalanced_clusters() -> tuple[PointSet, PointSet]:
+    """Two grid points and one sample near x = 0.2, one grid point and two
+    samples near x = 0.5: every point has a partner within about 0.011, but
+    one sample must cross to the other cluster, about 0.28 away."""
+    grid = PointSet(d=2, coords=np.array([[0.2, 0.5], [0.21, 0.5], [0.5, 0.5]]), kind="grid")
+    sample = PointSet(d=2, coords=np.array([[0.205, 0.51], [0.49, 0.5], [0.51, 0.5]]), kind="sample")
+    return sample, grid
+
+
+def test_search_widens_when_twice_the_lower_bound_is_infeasible(monkeypatch):
+    seen = _count_edges(monkeypatch, matching)
+    sample, grid = _unbalanced_clusters()
+    m = MetricSpec(d=2, p=2)
+    D = torus_distance_matrix(sample, grid, m)
+    lower = max(D.min(axis=1).max(), D.min(axis=0).max())
+    result = bottleneck_matching(sample, grid, m)
+    assert result.m_n == brute_bottleneck(sample, grid, m)
+    assert result.m_n > 2 * lower
+    # The first probe holds every pair within 2 * lower and fails; without
+    # widening, one feasible probe plus a bisection of the n^2 distances would
+    # make at most 1 + ceil(log2(n^2)) probes.
+    assert not seen["feasible"][0]
+    assert seen["probes"] > 1 + math.ceil(math.log2(sample.n**2))
+    assert D[np.arange(sample.n), result.assignment].max() == result.m_n
+
+
+def test_zero_lower_bound_without_a_zero_matching():
+    # Every point coincides with a point of the other set, so lower = 0, but
+    # two samples share one grid point: the search must widen past a zero cap.
+    sample = PointSet(d=2, coords=np.array([[0.1, 0.1], [0.1, 0.1], [0.6, 0.3]]), kind="sample")
+    grid = PointSet(d=2, coords=np.array([[0.1, 0.1], [0.6, 0.3], [0.6, 0.3]]), kind="grid")
+    m = MetricSpec(d=2, p=2)
+    result = bottleneck_matching(sample, grid, m)
+    assert result.m_n == brute_bottleneck(sample, grid, m) > 0
+
+
+@pytest.mark.parametrize("p", [1, 2, INFINITY], ids=["p1", "p2", "pinf"])
+def test_plane_probe_edges_stay_below_the_dense_search(monkeypatch, p):
+    seen = _count_edges(monkeypatch, matching)
+    oracle_seen = _count_edges(monkeypatch, oracles)
+    grid = grid_points(12, 2)
+    m = MetricSpec(d=2, p=p)
+    for seed in range(3):
+        sample = sample_uniform(grid.n, 2, 50 + seed)
+        bottleneck_matching(sample, grid, m)
+        bisection_bottleneck(sample, grid, m)
+    assert 0 < seen["edges"] < oracle_seen["edges"]
+
+
+@pytest.mark.parametrize("p", [1, 2, 3.5, INFINITY], ids=["p1", "p2", "p3.5", "pinf"])
+@pytest.mark.parametrize("d,N", [(1, 64), (2, 9), (3, 4)])
+def test_assignment_attains_the_returned_value(d, N, p):
+    m = MetricSpec(d=d, p=p)
+    grid = grid_points(N, d)
+    for seed in range(3):
+        sample = sample_uniform(grid.n, d, 7 * N + seed)
+        result = bottleneck_matching(sample, grid, m)
+        assert sorted(result.assignment) == list(range(grid.n))
+        D = torus_distance_matrix(sample, grid, m)
+        assert D[np.arange(grid.n), result.assignment].max() == result.m_n
+
+
 @pytest.mark.parametrize(
     "N,d,seed",
     [(256, 1, trial_seed(5, 7)), (256, 1, trial_seed(5, 22)), (32, 2, trial_seed(0, 23))],
