@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .geometry import INFINITY, MetricSpec, ball_volume_theta
-from .graph import AdjacencyMatrix, _check_permutation, cross_neighbor_count, degree_summary
+from .graph import AdjacencyMatrix, _aligned, _check_permutation, degree_summary
 
 # Unused here; perfbench wraps them here until ROADMAP item 5.
 from .graph import build_adjacency  # noqa: F401
@@ -74,20 +74,22 @@ def lemma4_decomposition(
     lattice adjacency A_D (both at radius r under m) and the alignment
     i -> matching[i]."""
     n = A_X.n
-    matching = _check_permutation(matching, n)
-    cross = cross_neighbor_count(A_X, A_D, matching)  # also checks that the orders agree
-    aligned = A_D.entries[np.ix_(matching, matching)].astype(np.int64)
-    diff = A_X.entries.astype(np.int64) - aligned
-    t0 = float((diff * diff).sum()) / n
+    if A_D.n != n:
+        raise ValueError(f"matrix orders differ: {n} vs {A_D.n}")
+    aligned = _aligned(A_D, _check_permutation(matching, n))
+    # 0/1 entries: (A_X - aligned)^2 counts the differing entries, and the
+    # common edges sum cross_neighbor_count over all nodes.
+    t0 = np.count_nonzero(A_X.entries != aligned) / n
+    common = np.count_nonzero(A_X.entries & aligned)
 
     mean_degree = float(A_X.degrees().mean())
     aprime_emp = float(A_D.degrees().mean())
-    t1 = mean_degree + aprime_emp - 2.0 * float(cross.sum()) / n
+    t1 = mean_degree + aprime_emp - 2.0 * common / n
 
     a_n = degree_summary(A_X, n, m.d, r).average_degree_theoretical
     coeff = d_power(m.d, 1.0, m.p) * 2 ** (m.d + 1)
     t_degree = coeff * abs(mean_degree - a_n)
-    t_L = coeff * abs(a_n - 2.0 * float(cross.sum()) / n)
+    t_L = coeff * abs(a_n - 2.0 * common / n)
 
     return Lemma4Terms(t0=t0, t1=t1, t_degree=t_degree, t_L=t_L, t_aprime=aprime_emp)
 

@@ -116,6 +116,14 @@ def _check_permutation(matching: np.ndarray, n: int) -> np.ndarray:
     return matching
 
 
+def _aligned(A: AdjacencyMatrix, matching: np.ndarray) -> np.ndarray:
+    """A's entries under the alignment: [i, j] -> A[matching[i], matching[j]].
+
+    A row take, then a column take: no n x n index arrays as with np.ix_.
+    """
+    return A.entries[matching][:, matching]
+
+
 def cross_neighbor_count(A_sample: AdjacencyMatrix, A_grid: AdjacencyMatrix, matching: np.ndarray) -> np.ndarray:
     """Per-node count of common neighbors under the alignment i -> matching[i].
 
@@ -124,9 +132,8 @@ def cross_neighbor_count(A_sample: AdjacencyMatrix, A_grid: AdjacencyMatrix, mat
     n = A_sample.n
     if A_grid.n != n:
         raise ValueError(f"matrix orders differ: {n} vs {A_grid.n}")
-    matching = _check_permutation(matching, n)
-    aligned = A_grid.entries[np.ix_(matching, matching)]
-    return (A_sample.entries.astype(np.int64) * aligned).sum(axis=1)
+    aligned = _aligned(A_grid, _check_permutation(matching, n))
+    return np.count_nonzero(A_sample.entries & aligned, axis=1)
 
 
 def edge_list_text(A: AdjacencyMatrix) -> str:

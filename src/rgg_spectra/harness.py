@@ -23,7 +23,7 @@ import numpy as np
 
 from .dgg import dgg_eigenvalues_closed_form, dgg_spec
 from .geometry import INFINITY, MetricSpec, PointSet, ball_volume_theta, grid_points, sample_uniform
-from .graph import AdjacencyMatrix, build_adjacency
+from .graph import AdjacencyMatrix, _aligned, build_adjacency
 from .levy import levy_distance, trace_bound
 from .matching import bottleneck_matching
 from .spectra import MAX_EIG_ORDER, Esd, esd_from_eigenvalues, sym_eigenvalues, twin_classes
@@ -139,10 +139,9 @@ def run_trial(cfg: ExperimentConfig, trial_index: int) -> TrialResult:
     esd_rgg = esd_from_eigenvalues(sym_eigenvalues(A_X))
     levy = levy_distance(esd_rgg, esd_dgg).distance
     bottleneck = bottleneck_matching(sample, grid, metric)
-    aligned = A_D.entries[np.ix_(bottleneck.assignment, bottleneck.assignment)]
     return TrialResult(
         levy_cubed=levy**3,
-        trace_bound=trace_bound(A_X.entries, aligned),
+        trace_bound=trace_bound(A_X.entries, _aligned(A_D, bottleneck.assignment)),
         m_n=bottleneck.m_n,
         xi_n=int(A_X.degrees().sum()) // 2,
         esd_rgg=esd_rgg,
@@ -259,7 +258,7 @@ def figure1_experiment(n: int = 2000, d: int = 1, seed: int = 1) -> Figure1Resul
         r=r,
         a_n_implied=a_n_implied,
         k=dgg_spec(N, d, r).k,
-        twin_frac=1.0 - twin_classes(A)[0].size / n,
+        twin_frac=1.0 - twin_classes(A)[0].size / n,  # kept on A by sym_eigenvalues
         atom_minus1_frac=float(np.mean(np.abs(esd_rgg.eigenvalues + 1.0) <= ATOM_TOLERANCE)),
         esd_rgg=esd_rgg,
         esd_dgg=esd_dgg,

@@ -99,5 +99,8 @@ def trace_bound(A, B) -> float:
     Mb = B.entries if isinstance(B, AdjacencyMatrix) else np.asarray(B)
     if Ma.shape != Mb.shape or Ma.ndim != 2 or Ma.shape[0] != Ma.shape[1]:
         raise ValueError(f"matrix orders differ or are not square: {Ma.shape} vs {Mb.shape}")
+    if Ma.dtype == Mb.dtype == np.uint8 and Ma.max(initial=0) <= 1 and Mb.max(initial=0) <= 1:
+        # 0/1 entries: (A - B)^2 is 1 exactly where they differ; the count is exact.
+        return np.count_nonzero(Ma != Mb) / Ma.shape[0]
     diff = Ma.astype(float) - Mb.astype(float)
     return float((diff * diff).sum()) / Ma.shape[0]

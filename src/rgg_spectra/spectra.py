@@ -28,16 +28,25 @@ def _check_order(n: int) -> None:
 def twin_classes(A: AdjacencyMatrix) -> tuple[np.ndarray, np.ndarray]:
     """True-twin classes of a graph: vertices whose rows of A + I are equal.
 
-    Returns each class's first vertex, ascending, and the class sizes.  Rows
-    are compared exactly, as packed bit strings.
+    Returns each class's first vertex, ascending, and the class sizes, both
+    read-only.  Rows are compared exactly, as packed bit strings.  A's
+    entries are frozen, so the classes are found once per matrix and kept on
+    it: sym_eigenvalues and a caller that reports the twin share use one
+    search.
     """
+    kept = A.__dict__.get("_twin_classes")
+    if kept is not None:
+        return kept
     closed = A.entries.copy()
     np.fill_diagonal(closed, 1)
     packed = np.packbits(closed, axis=1)
     keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
     _, heads, sizes = np.unique(keys, return_index=True, return_counts=True)
     order = np.argsort(heads)
-    return heads[order], sizes[order]
+    heads, sizes = heads[order], sizes[order]
+    heads.flags.writeable = sizes.flags.writeable = False
+    object.__setattr__(A, "_twin_classes", (heads, sizes))
+    return heads, sizes
 
 
 def sym_eigenvalues(A) -> np.ndarray:

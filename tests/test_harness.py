@@ -170,6 +170,19 @@ def test_figure1_twin_share_is_a_third():
         assert result.atom_minus1_frac >= result.twin_frac
 
 
+def test_figure1_searches_the_twin_classes_once(monkeypatch):
+    calls = {"n": 0}
+    packbits = np.packbits
+
+    def counted(*args, **kwargs):
+        calls["n"] += 1
+        return packbits(*args, **kwargs)
+
+    monkeypatch.setattr(np, "packbits", counted)
+    result = figure1_experiment(n=256, d=1, seed=2)
+    assert calls["n"] == 1 and 0 < result.twin_frac < 1
+
+
 def test_figure1_requires_perfect_power():
     with pytest.raises(ValueError):
         figure1_experiment(n=200, d=2, seed=1)

@@ -97,6 +97,11 @@ def test_trace_bound_matches_brute_force():
         a = AdjacencyMatrix(entries=random_symmetric_01(n, 0.4, rng))
         b = AdjacencyMatrix(entries=random_symmetric_01(n, 0.4, rng))
         assert trace_bound(a, b) == pytest.approx(brute_trace_quadratic(a.entries, b.entries), rel=1e-12)
+        # Raw 0/1 uint8 arrays, as the trial runner passes them: exact.
+        assert trace_bound(a.entries, b.entries) == brute_trace_quadratic(a.entries, b.entries)
+    # uint8 entries other than 0/1 are squared, not counted.
+    big = np.array([[0, 2], [2, 0]], dtype=np.uint8)
+    assert trace_bound(big, np.zeros((2, 2), dtype=np.uint8)) == 4.0
 
 
 def test_trace_bound_unsigned_entry_regression():

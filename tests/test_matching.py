@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import math
-import time
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -83,13 +86,113 @@ def _count_calls(monkeypatch, module, name: str) -> dict:
 
 
 def test_circle_match_costs_one_distance_matrix_and_one_probe(monkeypatch):
+    # The Hall arc certifies the cyclic shift, so the probe is no longer made.
     probes = _count_calls(monkeypatch, matching, "maximum_bipartite_matching")
     distances = _count_calls(monkeypatch, matching, "torus_distance_matrix")
     grid = grid_points(128, 1)
     for seed in range(5):
         probes["n"] = distances["n"] = 0
         bottleneck_matching(sample_uniform(128, 1, seed), grid, MetricSpec(d=1, p=INFINITY))
-        assert (probes["n"], distances["n"]) == (1, 1)
+        assert (probes["n"], distances["n"]) == (0, 1)
+
+
+def _circle_points(rng, kind: str, n: int) -> np.ndarray:
+    if kind == "uniform":
+        return rng.random(n)
+    if kind == "clustered":  # up to three clusters of width 0.05
+        centres = rng.random(int(rng.integers(1, 4)))
+        return (centres[rng.integers(0, len(centres), n)] + 0.05 * rng.random(n)) % 1.0
+    if kind == "duplicated":  # about three copies of each point
+        base = rng.random(max(1, n // 3))
+        return base[rng.integers(0, len(base), n)]
+    # off-grid: the lattice moved by half a step or less
+    return (np.arange(n) / n + rng.random() * 0.5 / n) % 1.0
+
+
+_CIRCLE_KINDS = ("uniform", "clustered", "duplicated", "off-grid")
+
+
+def test_circle_route_agrees_with_the_oracles_without_probing(monkeypatch):
+    probes = _count_calls(monkeypatch, matching, "maximum_bipartite_matching")
+    rng = np.random.default_rng(2024)
+    for case in range(240):
+        n = int(rng.integers(1, 8)) if case % 3 == 0 else int(rng.integers(1, 161))
+        m = MetricSpec(d=1, p=(1, 2, 3.5, INFINITY)[case % 4])
+        a = _line(*_circle_points(rng, _CIRCLE_KINDS[case % 4], n))
+        b = PointSet(d=1, coords=_circle_points(rng, _CIRCLE_KINDS[(case // 4) % 4], n)[:, None], kind="grid")
+        probes["n"] = 0
+        result = bottleneck_matching(a, b, m)
+        assert probes["n"] == 0, case
+        expected = brute_bottleneck(a, b, m) if n < 8 else bisection_bottleneck(a, b, m).m_n
+        assert result.m_n == expected, case
+        D = torus_distance_matrix(a, b, m)
+        assert sorted(result.assignment) == list(range(n))
+        assert D[np.arange(n), result.assignment].max() == result.m_n
+
+
+@pytest.mark.parametrize("p", [1, 2, 3.5, INFINITY], ids=["p1", "p2", "p3.5", "pinf"])
+def test_hall_arc_is_a_true_hall_violator(p):
+    m = MetricSpec(d=1, p=p)
+    grid = grid_points(96, 1)
+    for seed in range(5):
+        sample = sample_uniform(96, 1, 300 + seed)
+        m_n = bottleneck_matching(sample, grid, m).m_n
+        order = np.argsort(sample.coords[:, 0], kind="stable")
+        a = sample.coords[order, 0]
+        E = torus_distance_matrix(_line(*a), grid, m)
+        first, length = matching._hall_arc(a, grid.coords[:, 0], E, m_n)
+        # Recount on the unsorted distances: the run's samples reach fewer
+        # grid points below m_n than they number.
+        run = order[(first + np.arange(length)) % 96]
+        D = torus_distance_matrix(sample, grid, m)
+        assert np.count_nonzero((D[run] < m_n).any(axis=0)) < length
+
+
+def test_hall_arc_refuses_a_run_the_count_does_not_confirm():
+    # Each lattice point reaches only itself below half a step, so no run is
+    # a Hall violator.  Sample 0's coordinate is given one turn down, which
+    # misplaces its lifted neighbourhood by n and makes the pass propose the
+    # whole circle as a run; the exact count must turn it down.
+    grid = grid_points(8, 1)
+    E = torus_distance_matrix(grid, grid, MetricSpec(d=1, p=2))
+    a = grid.coords[:, 0].copy()
+    a[0] -= 1.0
+    assert matching._hall_arc(a, grid.coords[:, 0], E, 0.5 / 8) is None
+    assert matching._hall_arc(grid.coords[:, 0], grid.coords[:, 0], E, 0.5 / 8) is None
+
+
+def _fallback_case() -> tuple[PointSet, PointSet]:
+    return _line(0.088, 0.350, 0.293), PointSet(d=1, coords=np.array([[0.770], [0.119], [0.819]]), kind="grid")
+
+
+def test_circle_fallback_makes_exactly_one_probe(monkeypatch):
+    sample, grid = _fallback_case()
+    m = MetricSpec(d=1, p=INFINITY)
+    probes = _count_calls(monkeypatch, matching, "maximum_bipartite_matching")
+    assert bottleneck_matching(sample, grid, m).m_n == brute_bottleneck(sample, grid, m)
+    assert probes["n"] == 0
+    # Without a certificate the search probes once just below the shift's value.
+    monkeypatch.setattr(matching, "_hall_arc", lambda *args: None)
+    result = bottleneck_matching(sample, grid, m)
+    assert probes["n"] == 1
+    assert result.m_n == brute_bottleneck(sample, grid, m) > 0.25
+
+
+@pytest.mark.parametrize("p", [2, INFINITY], ids=["p2", "pinf"])
+def test_circle_route_recovers_from_a_suboptimal_shift(monkeypatch, p):
+    def worst_shift(E):
+        n = E.shape[0]
+        return int(np.argmax([E[np.arange(n), (np.arange(n) + s) % n].max() for s in range(n)]))
+
+    monkeypatch.setattr(matching, "_best_shift", worst_shift)
+    m = MetricSpec(d=1, p=p)
+    grid = grid_points(64, 1)
+    for seed in range(3):
+        sample = sample_uniform(64, 1, 900 + seed)
+        result = bottleneck_matching(sample, grid, m)
+        assert result.m_n == bisection_bottleneck(sample, grid, m).m_n
+        D = torus_distance_matrix(sample, grid, m)
+        assert D[np.arange(64), result.assignment].max() == result.m_n
 
 
 def test_plane_match_probes_no_more_than_plain_bisection(monkeypatch):
@@ -183,6 +286,32 @@ def test_assignment_attains_the_returned_value(d, N, p):
         assert D[np.arange(grid.n), result.assignment].max() == result.m_n
 
 
+# Runs one match in a child process and checks its assignment there, so a
+# stalled probe fails the test after the timeout instead of hanging the suite.
+_CHILD_MATCH = """
+import sys, time
+import numpy as np
+from rgg_spectra.geometry import MetricSpec, grid_points, sample_uniform, torus_distance_matrix
+from rgg_spectra.matching import bottleneck_matching
+N, d, p, seed = int(sys.argv[1]), int(sys.argv[2]), float(sys.argv[3]), int(sys.argv[4])
+sample, grid, m = sample_uniform(N**d, d, seed), grid_points(N, d), MetricSpec(d=d, p=p)
+start = time.perf_counter()
+result = bottleneck_matching(sample, grid, m)
+assert time.perf_counter() - start < 10.0, time.perf_counter() - start
+D = torus_distance_matrix(sample, grid, m)
+assert sorted(result.assignment) == list(range(grid.n))
+assert D[np.arange(grid.n), result.assignment].max() == result.m_n
+"""
+
+
+def _match_in_child(N: int, d: int, p: float, seed: int) -> None:
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    command = [sys.executable, "-c", _CHILD_MATCH, str(N), str(d), str(p), str(seed)]
+    proc = subprocess.run(command, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.mark.parametrize(
     "N,d,seed",
     [(256, 1, trial_seed(5, 7)), (256, 1, trial_seed(5, 22)), (32, 2, trial_seed(0, 23))],
@@ -191,13 +320,15 @@ def test_assignment_attains_the_returned_value(d, N, p):
 def test_probes_do_not_stall_on_grid_order(N, d, seed):
     # With the grid's columns in row-major order, scipy's Hopcroft-Karp took
     # 30 to over 60 s on one probe of each instance; shuffled, under 0.5 s.
-    sample, grid = sample_uniform(N**d, d, seed), grid_points(N, d)
-    start = time.perf_counter()
-    result = bottleneck_matching(sample, grid, MetricSpec(d=d, p=INFINITY))
-    assert time.perf_counter() - start < 10.0
-    D = torus_distance_matrix(sample, grid, MetricSpec(d=d, p=INFINITY))
-    assert sorted(result.assignment) == list(range(grid.n))
-    assert D[np.arange(grid.n), result.assignment].max() == result.m_n
+    _match_in_child(N, d, INFINITY, seed)
+
+
+@pytest.mark.parametrize("p", [2, INFINITY], ids=["p2", "pinf"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_circle_match_at_n_1024_does_not_stall(seed, p):
+    # A Hopcroft-Karp probe just below m_n ran past 60 s on these instances,
+    # even on shuffled columns; the d = 1 route makes none.
+    _match_in_child(1024, 1, p, seed)
 
 
 def test_witness_assignment_achieves_the_value():
