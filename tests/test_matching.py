@@ -112,7 +112,7 @@ def _circle_points(rng, kind: str, n: int) -> np.ndarray:
 _CIRCLE_KINDS = ("uniform", "clustered", "duplicated", "off-grid")
 
 
-def test_circle_route_agrees_with_the_oracles_without_probing(monkeypatch):
+def test_circle_route_agrees_with_the_oracles(monkeypatch):
     probes = _count_calls(monkeypatch, matching, "maximum_bipartite_matching")
     rng = np.random.default_rng(2024)
     for case in range(240):
@@ -122,12 +122,17 @@ def test_circle_route_agrees_with_the_oracles_without_probing(monkeypatch):
         b = PointSet(d=1, coords=_circle_points(rng, _CIRCLE_KINDS[(case // 4) % 4], n)[:, None], kind="grid")
         probes["n"] = 0
         result = bottleneck_matching(a, b, m)
-        assert probes["n"] == 0, case
+        # Small circles are certified by one probe, larger ones by an arc alone.
+        assert probes["n"] == int(n <= matching._PROBED_CIRCLE_MAX_N), case
         expected = brute_bottleneck(a, b, m) if n < 8 else bisection_bottleneck(a, b, m).m_n
         assert result.m_n == expected, case
         D = torus_distance_matrix(a, b, m)
         assert sorted(result.assignment) == list(range(n))
         assert D[np.arange(n), result.assignment].max() == result.m_n
+        # The arc certifies the small circles too.
+        xa, xb = np.sort(a.coords[:, 0]), np.sort(b.coords[:, 0])
+        E = torus_distance_matrix(_line(*xa), _line(*xb), m)
+        assert matching._hall_arc(xa, xb, E, result.m_n) is not None, case
 
 
 @pytest.mark.parametrize("p", [1, 2, 3.5, INFINITY], ids=["p1", "p2", "p3.5", "pinf"])
@@ -169,13 +174,18 @@ def test_circle_fallback_makes_exactly_one_probe(monkeypatch):
     sample, grid = _fallback_case()
     m = MetricSpec(d=1, p=INFINITY)
     probes = _count_calls(monkeypatch, matching, "maximum_bipartite_matching")
-    assert bottleneck_matching(sample, grid, m).m_n == brute_bottleneck(sample, grid, m)
-    assert probes["n"] == 0
-    # Without a certificate the search probes once just below the shift's value.
-    monkeypatch.setattr(matching, "_hall_arc", lambda *args: None)
+    # Three points are certified by the probe just below the shift's value.
     result = bottleneck_matching(sample, grid, m)
     assert probes["n"] == 1
     assert result.m_n == brute_bottleneck(sample, grid, m) > 0.25
+    # A larger circle probes only when no arc certifies the shift.
+    sample, grid = sample_uniform(64, 1, 5), grid_points(64, 1)
+    probes["n"] = 0
+    m_n = bottleneck_matching(sample, grid, m).m_n
+    assert probes["n"] == 0
+    monkeypatch.setattr(matching, "_hall_arc", lambda *args: None)
+    assert bottleneck_matching(sample, grid, m).m_n == m_n == bisection_bottleneck(sample, grid, m).m_n
+    assert probes["n"] == 1
 
 
 @pytest.mark.parametrize("p", [2, INFINITY], ids=["p2", "pinf"])
