@@ -21,7 +21,7 @@ from .bounds import (
     lemma6_variance_bound,
     theorem1_rhs,
 )
-from .dgg import ANALYTIC_RANGE_EXCEEDED, AnalyticRangeError, DggSpec, dgg_degree, dgg_eigenvalues_closed_form, dgg_eigenvalues_dft, dgg_spec
+from .dgg import ANALYTIC_RANGE_EXCEEDED, AnalyticRangeError, DggSpec, dgg_band, dgg_degree, dgg_eigenvalues_closed_form, dgg_eigenvalues_dft, dgg_spec
 from .geometry import (
     INFINITY,
     MAX_PAIRWISE_BYTES,
@@ -82,6 +82,7 @@ __all__ = [
     "build_adjacency_reference",
     "cross_neighbor_count",
     "degree_summary",
+    "dgg_band",
     "dgg_degree",
     "dgg_eigenvalues_closed_form",
     "dgg_eigenvalues_dft",

@@ -88,7 +88,9 @@ def _out_dir(opts: dict) -> Path:
     return out
 
 
-def _write_manifest(out: Path, command: str, args: dict) -> None:
+def _write_manifest(out: Path, command: str, opts: dict) -> None:
+    """manifest.json: every option but --out (p as "inf" or a number), plus versions."""
+    args = {key: _p_for_manifest(value) if key == "p" else value for key, value in opts.items() if key != "out"}
     payload = {
         "command": command,
         "args": args,
@@ -200,18 +202,7 @@ def cmd_generate(opts: dict) -> int:
     header = [f"x{i + 1}" for i in range(points.d)]
     _write_csv(out / "points.csv", header, [points.coords[:, i] for i in range(points.d)])
     _write_text(out / "edges.txt", edge_list_text(A))
-    _write_manifest(
-        out,
-        "generate",
-        {
-            "n": opts.get("n"),
-            "N": opts.get("N"),
-            "d": opts["d"],
-            "p": _p_for_manifest(opts["p"]),
-            "r": opts["r"],
-            "seed": opts["seed"],
-        },
-    )
+    _write_manifest(out, "generate", opts)
     return 0
 
 
@@ -220,11 +211,12 @@ def cmd_spectrum(opts: dict) -> int:
     method = opts["method"]
     if opts.get("dgg") is not None:
         N, d, r = opts["dgg"]
-        if method in ("closed", "dft"):
+        if method == "closed":
             if opts["p"] != INFINITY:
-                raise CliError(f"{CLOSED_FORM_REQUIRES_LINF}: analytic lattice spectra need p = inf")
-            spec = dgg_spec(N, d, r)
-            values = dgg_eigenvalues_closed_form(spec) if method == "closed" else dgg_eigenvalues_dft(spec)
+                raise CliError(f"{CLOSED_FORM_REQUIRES_LINF}: the closed-form lattice spectrum needs p = inf")
+            values = dgg_eigenvalues_closed_form(dgg_spec(N, d, r))
+        elif method == "dft":
+            values = dgg_eigenvalues_dft(N, d, opts["p"], r)
         else:
             values = sym_eigenvalues(lattice_graph(N, d, opts["p"], r)[1])
     else:
@@ -239,18 +231,7 @@ def cmd_spectrum(opts: dict) -> int:
     if opts["plot"]:
         curve = _step_cdf(esd_from_eigenvalues(values), "#1f77b4")
         _write_text(out / "cdf.svg", _svg_step_plot([curve], "spectral CDF"))
-    _write_manifest(
-        out,
-        "spectrum",
-        {
-            "input": opts.get("input"),
-            "dgg": list(opts["dgg"]) if opts.get("dgg") is not None else None,
-            "method": method,
-            "p": _p_for_manifest(opts["p"]),
-            "r": opts.get("r"),
-            "plot": opts["plot"],
-        },
-    )
+    _write_manifest(out, "spectrum", opts)
     return 0
 
 
@@ -295,21 +276,7 @@ def cmd_compare(opts: dict) -> int:
     print(f"levy = {_fmt(payload['levy'])}")
     print(f"levy_cubed = {_fmt(payload['levy_cubed'])}")
     print("trace_bound = none")
-    _write_manifest(
-        out,
-        "compare",
-        {
-            "fig1": bool(opts.get("fig1")),
-            "n": opts.get("n"),
-            "d": opts.get("d"),
-            "seed": opts.get("seed"),
-            "esd_a": opts.get("esd_a"),
-            "esd_b": opts.get("esd_b"),
-            "oracle": opts["oracle"],
-            "oracle_step": opts["oracle_step"],
-            "plot": opts["plot"],
-        },
-    )
+    _write_manifest(out, "compare", opts)
     return 0
 
 
@@ -381,20 +348,7 @@ def cmd_bounds(opts: dict) -> int:
     print(f"p_hat = {_fmt(p_hat)}")
     print(f"stderr = {_fmt(stderr)}")
     print(f"total = {_fmt(min(theorem1.total, 1.0))}")
-    _write_manifest(
-        out,
-        "bounds",
-        {
-            "N": cfg.N,
-            "d": cfg.d,
-            "p": _p_for_manifest(cfg.p),
-            "r": opts["r"],
-            "t": cfg.t,
-            "a": cfg.a,
-            "trials": cfg.trials,
-            "seed": cfg.seed,
-        },
-    )
+    _write_manifest(out, "bounds", opts)
     return 0
 
 

@@ -1,19 +1,23 @@
-"""Analytic spectra of the lattice graph (DGG) under the l_infinity metric.
+"""The lattice graph (DGG): one offset band, its spectrum, and the l_inf closed form.
 
-On the N^d torus lattice with reach k = floor(N*r), the adjacency is a
-d-level circulant: every vertex joins the (2k+1)^d - 1 others within k lattice
-steps per axis.  Its eigenvalues have two equivalent analytic forms, a
-product of Dirichlet-kernel ratios and a d-dimensional DFT of the first-row
-indicator tensor; both are only meaningful while the neighborhood does not
-wrap onto itself, 2k+1 <= N.
+The DGG joins two vertices of the N^d torus grid when their l_p distance is
+at most r.  dgg_band evaluates that rule once per lattice offset h, on the
+exact wrapped coordinates min(h_s, N - h_s)/N, so the adjacency is a d-level
+circulant whose row i is the band shifted to vertex i, and its eigenvalues
+are the d-dimensional DFT of the band (dgg_eigenvalues_dft), for every p.
+Under l_infinity the band is the cube of reach k (the largest k with
+k/N <= r), the degree is (2k+1)^d - 1 and the DFT factors into a product of
+Dirichlet-kernel ratios (dgg_eigenvalues_closed_form); that product is only
+the graph's spectrum while the cube does not wrap onto itself, 2k+1 <= N.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .geometry import _MAX_GRID_POINTS, MetricSpec, _torus_distances
 
 ANALYTIC_RANGE_EXCEEDED = "ANALYTIC_RANGE_EXCEEDED"
 
@@ -24,39 +28,63 @@ class AnalyticRangeError(ValueError):
     code = ANALYTIC_RANGE_EXCEEDED
 
 
+def dgg_band(N: int, d: int, p: float, r: float) -> np.ndarray:
+    """The lattice edge rule on offsets: a read-only uint8 tensor over {0..N-1}^d.
+
+    Entry h is 1 iff h != 0 and the l_p norm of the wrapped offset
+    (min(h_s, N - h_s)/N)_s, computed by geometry._torus_distances as its
+    distance from the origin, is <= r.  Each wrapped offset in
+    {0..floor(N/2)}^d is evaluated once, so h and -h share one double and
+    the band is exactly symmetric.
+    """
+    MetricSpec(d=d, p=p)
+    if N < 1 or not r > 0:
+        raise ValueError(f"need N >= 1, r > 0, got N={N}, r={r}")
+    if N**d > _MAX_GRID_POINTS:
+        raise ValueError(f"lattice of N^d = {N**d} offsets exceeds the size limit {_MAX_GRID_POINTS}")
+    half = N // 2 + 1
+    wrapped = np.stack(np.meshgrid(*(np.arange(half),) * d, indexing="ij"), axis=-1).reshape(-1, d) / N
+    close = (_torus_distances(wrapped, np.zeros((1, d)), p)[:, 0] <= r).reshape((half,) * d)
+    fold = np.minimum(np.arange(N), N - np.arange(N))
+    band = close[np.ix_(*(fold,) * d)].astype(np.uint8)
+    band[(0,) * d] = 0
+    band.flags.writeable = False
+    return band
+
+
 @dataclass(frozen=True)
 class DggSpec:
-    """Lattice-graph parameters with derived reach k and analytic degree."""
+    """l_infinity lattice-graph parameters with derived reach k and degree."""
 
     N: int
     d: int
     r: float
-    k: int
-    degree: int
 
     def __post_init__(self) -> None:
         if self.N < 1 or self.d < 1 or not self.r > 0:
             raise ValueError(f"need N >= 1, d >= 1, r > 0, got N={self.N}, d={self.d}, r={self.r}")
-        if self.k != math.floor(self.N * self.r) or self.degree != (2 * self.k + 1) ** self.d - 1:
-            raise ValueError("k and degree must be the derived values; use dgg_spec()")
         if 2 * self.k + 1 > self.N:
             raise AnalyticRangeError(
                 f"{ANALYTIC_RANGE_EXCEEDED}: 2k+1 = {2 * self.k + 1} exceeds N = {self.N}"
             )
 
     @property
-    def n(self) -> int:
-        return self.N**self.d
+    def k(self) -> int:
+        """The largest k <= N with k/N <= r, compared in the doubles dgg_band uses."""
+        return int(np.count_nonzero(np.arange(1, self.N + 1) / self.N <= self.r))
+
+    @property
+    def degree(self) -> int:
+        return (2 * self.k + 1) ** self.d - 1
 
 
 def dgg_spec(N: int, d: int, r: float) -> DggSpec:
-    """Build a DggSpec, deriving k = floor(N*r) and the analytic degree."""
-    k = math.floor(N * r)
-    return DggSpec(N=N, d=d, r=r, k=k, degree=(2 * k + 1) ** d - 1)
+    """The DggSpec of (N, d, r), gated on 2k+1 <= N."""
+    return DggSpec(N=N, d=d, r=r)
 
 
 def dgg_degree(N: int, d: int, r: float) -> int:
-    """Analytic lattice degree (2*floor(N*r)+1)^d - 1, gated on 2k+1 <= N."""
+    """Analytic l_infinity lattice degree (2k+1)^d - 1, gated on 2k+1 <= N."""
     return dgg_spec(N, d, r).degree
 
 
@@ -71,7 +99,7 @@ def _dirichlet_factors(N: int, k: int) -> np.ndarray:
 
 
 def dgg_eigenvalues_closed_form(spec: DggSpec) -> np.ndarray:
-    """All N^d eigenvalues prod_s D(m_s) - 1, ascending."""
+    """All N^d l_infinity eigenvalues prod_s D(m_s) - 1, ascending."""
     factors = _dirichlet_factors(spec.N, spec.k)
     product = factors
     for _ in range(spec.d - 1):
@@ -79,22 +107,9 @@ def dgg_eigenvalues_closed_form(spec: DggSpec) -> np.ndarray:
     return np.sort(product.ravel() - 1.0)
 
 
-def dgg_eigenvalues_dft(spec: DggSpec) -> np.ndarray:
-    """All N^d eigenvalues via the d-dimensional DFT of the first-row tensor.
-
-    The tensor c over {0..N-1}^d is the adjacency indicator of lattice offset
-    h from the origin: c_h = 1 iff h != 0 and every coordinate h_s lies in the
-    reach band [0, k] union [N-k, N-1].
-    """
-    N, d, k = spec.N, spec.d, spec.k
-    axis_band = (np.arange(N) <= k) | (np.arange(N) >= N - k)
-    c = np.ones((N,) * d, dtype=float)
-    for axis in range(d):
-        shape = [1] * d
-        shape[axis] = N
-        c = c * axis_band.reshape(shape)
-    c[(0,) * d] = 0.0
-    transformed = np.fft.fftn(c)
+def dgg_eigenvalues_dft(N: int, d: int, p: float, r: float) -> np.ndarray:
+    """All N^d eigenvalues, ascending: the d-dimensional DFT of dgg_band(N, d, p, r)."""
+    transformed = np.fft.fftn(dgg_band(N, d, p, r))
     worst_imag = float(np.abs(transformed.imag).max())
     if worst_imag > 1e-8:
         raise ArithmeticError(f"DFT of a symmetric real tensor left imaginary residue {worst_imag:.3e}")

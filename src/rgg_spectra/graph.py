@@ -71,6 +71,15 @@ def build_adjacency_reference(points: PointSet, r: float, m: MetricSpec) -> Adja
 _BLOCK_BYTES = 1 << 20
 
 
+def _refuse_dense(n: int) -> None:
+    """Refuse an n x n uint8 adjacency past geometry.MAX_PAIRWISE_BYTES."""
+    if n * n > MAX_PAIRWISE_BYTES:
+        raise ValueError(
+            f"the adjacency of {n} points needs {n * n} bytes, "
+            f"past the limit MAX_PAIRWISE_BYTES = {MAX_PAIRWISE_BYTES}"
+        )
+
+
 def build_adjacency(points: PointSet, r: float, m: MetricSpec) -> AdjacencyMatrix:
     """Adjacency of the geometric graph: edge iff i != j and torus l_p distance <= r.
 
@@ -84,11 +93,7 @@ def build_adjacency(points: PointSet, r: float, m: MetricSpec) -> AdjacencyMatri
     if not r > 0:
         raise ValueError(f"radius must be positive, got {r}")
     n, coords = points.n, points.coords
-    if n * n > MAX_PAIRWISE_BYTES:
-        raise ValueError(
-            f"the adjacency of {n} points needs {n * n} bytes, "
-            f"past the limit MAX_PAIRWISE_BYTES = {MAX_PAIRWISE_BYTES}"
-        )
+    _refuse_dense(n)
     rows = max(1, _BLOCK_BYTES // (n * m.d * 8))
     entries = np.empty((n, n), dtype=np.uint8)
     for start in range(0, n, rows):

@@ -2,13 +2,13 @@
 paired-CDF comparison experiment.
 
 Each trial samples points, builds the random-graph adjacency, compares its
-spectrum against the lattice spectrum (closed form under l_infinity, explicit
-eigensolve otherwise), and evaluates the bottleneck matching and the trace
-bound.  The lattice graph and its spectrum depend only on (N, d, p, r), so
-they are built once per configuration and cached; only the random graph is
-rebuilt per trial.  Per-trial seeds are a documented splitmix64 mix of the
-master seed and the trial index, so every aggregate is reproducible
-bit-for-bit.
+spectrum against the lattice spectrum (closed form under l_infinity, the DFT
+of the lattice's offset band otherwise), and evaluates the bottleneck
+matching and the trace bound.  The lattice graph and its spectrum both come
+from dgg.dgg_band and depend only on (N, d, p, r), so they are built once per
+configuration and cached; only the random graph is rebuilt per trial.
+Per-trial seeds are a documented splitmix64 mix of the master seed and the
+trial index, so every aggregate is reproducible bit-for-bit.
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dgg import dgg_eigenvalues_closed_form, dgg_spec
+from .dgg import dgg_band, dgg_eigenvalues_closed_form, dgg_eigenvalues_dft, dgg_spec
 from .geometry import INFINITY, MetricSpec, PointSet, ball_volume_theta, grid_points, sample_uniform
-from .graph import AdjacencyMatrix, _aligned, build_adjacency
+from .graph import AdjacencyMatrix, _aligned, _refuse_dense, build_adjacency
 from .levy import levy_distance, trace_bound
 from .matching import bottleneck_matching
 from .spectra import MAX_EIG_ORDER, Esd, esd_from_eigenvalues, sym_eigenvalues, twin_classes
@@ -110,17 +110,25 @@ class TrialResult:
 # Each entry holds an n x n adjacency, so only a few configurations are kept.
 @lru_cache(maxsize=4)
 def lattice_graph(N: int, d: int, p: float, r: float) -> tuple[PointSet, AdjacencyMatrix]:
-    """The N^d grid and its lattice adjacency under l_p at radius r (cached)."""
+    """The N^d grid and its lattice adjacency under l_p at radius r (cached).
+
+    Entry (i, j) is dgg_band at the offset (j - i) mod N of the grid's
+    multi-indices: row i is a window of the band tiled twice per axis.  An
+    n x n result past MAX_PAIRWISE_BYTES is refused before allocating.
+    """
     grid = grid_points(N, d)
-    return grid, build_adjacency(grid, r, MetricSpec(d=d, p=p))
+    band = dgg_band(N, d, p, r)
+    _refuse_dense(grid.n)
+    windows = np.lib.stride_tricks.sliding_window_view(np.tile(band, (2,) * d), band.shape)
+    return grid, AdjacencyMatrix(entries=windows[(slice(N, 0, -1),) * d].reshape(grid.n, grid.n))
 
 
 @lru_cache(maxsize=32)
 def _dgg_esd(N: int, d: int, p: float, r: float) -> Esd:
-    """Analytic lattice ESD when p = INFINITY, explicit eigensolve otherwise."""
+    """Lattice ESD: the closed form when p = INFINITY, the band's DFT otherwise."""
     if p == INFINITY:
         return esd_from_eigenvalues(dgg_eigenvalues_closed_form(dgg_spec(N, d, r)))
-    return esd_from_eigenvalues(sym_eigenvalues(lattice_graph(N, d, p, r)[1]))
+    return esd_from_eigenvalues(dgg_eigenvalues_dft(N, d, p, r))
 
 
 def run_trial(cfg: ExperimentConfig, trial_index: int) -> TrialResult:
@@ -150,14 +158,15 @@ def run_trial(cfg: ExperimentConfig, trial_index: int) -> TrialResult:
 
 
 def _worker_count() -> int:
+    """Trial workers from RGG_SPECTRA_THREADS: default 1, 0 for every core."""
     raw = os.environ.get("RGG_SPECTRA_THREADS", "1")
     try:
         count = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"RGG_SPECTRA_THREADS must be an integer, got {raw!r}") from exc
-    if count == 0:
-        return os.cpu_count() or 1
-    return max(1, count)
+    except ValueError:
+        count = -1
+    if count < 0:
+        raise ValueError(f"RGG_SPECTRA_THREADS must be a non-negative integer, got {raw!r}")
+    return count or os.cpu_count() or 1
 
 
 def run_trials(cfg: ExperimentConfig, trials: int, check=None) -> list[TrialResult]:

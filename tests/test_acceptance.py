@@ -54,7 +54,7 @@ def test_criterion_02_analytic_spectrum_exactness():
                 spec = dgg_spec(N, d, r)
                 assert spec.k == k
                 closed = dgg_eigenvalues_closed_form(spec)
-                dft = dgg_eigenvalues_dft(spec)
+                dft = dgg_eigenvalues_dft(N, d, INFINITY, r)
                 explicit = sym_eigenvalues(build_adjacency(grid_points(N, d), r, MetricSpec(d=d, p=INFINITY)))
                 worst = max(
                     worst,

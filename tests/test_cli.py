@@ -66,13 +66,16 @@ def test_spectrum_closed_form_ring(tmp_path):
 
 
 def test_spectrum_methods_agree(tmp_path):
-    outs = {}
-    for method in ("eig", "closed", "dft"):
-        out = tmp_path / method
-        assert _run(["spectrum", "--dgg", "6,2,0.2", "--method", method, "--out", out]) == 0
-        outs[method] = np.loadtxt(out / "eigenvalues.csv", skiprows=1)
-    assert np.max(np.abs(outs["closed"] - outs["dft"])) <= 1e-9
-    assert np.max(np.abs(outs["closed"] - outs["eig"])) <= 1e-8
+    for dgg, p, methods in (("6,2,0.2", "inf", ("eig", "closed", "dft")), ("24,2,0.25", "2", ("eig", "dft"))):
+        outs = {}
+        for method in methods:
+            out = tmp_path / f"{dgg}-{p}-{method}"
+            assert _run(["spectrum", "--dgg", dgg, "--p", p, "--method", method, "--out", out]) == 0
+            outs[method] = np.loadtxt(out / "eigenvalues.csv", skiprows=1)
+        for method in methods[1:]:
+            assert np.max(np.abs(outs[method] - outs["eig"])) <= 1e-8
+        if "closed" in outs:
+            assert np.max(np.abs(outs["closed"] - outs["dft"])) <= 1e-9
 
 
 def test_spectrum_closed_form_requires_linf(tmp_path, capsys):
