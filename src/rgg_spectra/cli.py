@@ -21,7 +21,8 @@ import scipy
 from . import __version__
 from .bounds import BoundReport, check_matching_regime, check_tail_parameters, lemma1_degree_bound, lemma4_decomposition, lemma6_variance_bound, theorem1_rhs
 from .dgg import dgg_eigenvalues_closed_form, dgg_eigenvalues_dft, dgg_spec
-from .geometry import INFINITY, MetricSpec, PointSet, ball_volume_theta, grid_points, sample_uniform
+from .geometry import INFINITY, MetricSpec, PointSet, ball_volume_theta, sample_uniform
+from .geometry import grid_points  # noqa: F401  perfbench wraps it here until ROADMAP item 5
 from .graph import build_adjacency, edge_list_text
 from .harness import (
     ExperimentConfig,
@@ -195,10 +196,10 @@ def cmd_generate(opts: dict) -> int:
     out = _out_dir(opts)
     metric = MetricSpec(d=opts["d"], p=opts["p"])
     if opts.get("N") is not None:
-        points = grid_points(opts["N"], opts["d"])
+        points, A = lattice_graph(opts["N"], opts["d"], opts["p"], opts["r"])
     else:
         points = sample_uniform(opts["n"], opts["d"], opts["seed"])
-    A = build_adjacency(points, opts["r"], metric)
+        A = build_adjacency(points, opts["r"], metric)
     header = [f"x{i + 1}" for i in range(points.d)]
     _write_csv(out / "points.csv", header, [points.coords[:, i] for i in range(points.d)])
     _write_text(out / "edges.txt", edge_list_text(A))

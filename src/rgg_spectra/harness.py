@@ -55,7 +55,8 @@ class ExperimentConfig:
 
     radius_rule EXPLICIT uses the given r; CONNECTIVITY derives
     r = log(n)/sqrt(n) from n = N^d.  sample_from_grid is a test hook that
-    replaces the random sample by the grid itself.
+    replaces the random sample and its graph by the grid and the lattice
+    graph, so the Levy distance, trace bound and matching cost vanish.
     """
 
     N: int
@@ -140,10 +141,10 @@ def run_trial(cfg: ExperimentConfig, trial_index: int) -> TrialResult:
     esd_dgg = _dgg_esd(cfg.N, cfg.d, cfg.p, r)
     grid, A_D = lattice_graph(cfg.N, cfg.d, cfg.p, r)
     if cfg.sample_from_grid:
-        sample = PointSet(d=cfg.d, coords=grid.coords, kind="sample")
+        sample, A_X = PointSet(d=cfg.d, coords=grid.coords, kind="sample"), A_D
     else:
         sample = sample_uniform(n, cfg.d, trial_seed(cfg.seed, trial_index))
-    A_X = build_adjacency(sample, r, metric)
+        A_X = build_adjacency(sample, r, metric)
     esd_rgg = esd_from_eigenvalues(sym_eigenvalues(A_X))
     levy = levy_distance(esd_rgg, esd_dgg).distance
     bottleneck = bottleneck_matching(sample, grid, metric)

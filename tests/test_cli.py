@@ -36,6 +36,17 @@ def test_generate_writes_ring_edges(tmp_path):
     assert "versions" in manifest and "created_utc" in manifest
 
 
+def test_generate_grid_at_a_tie_radius_writes_the_regular_lattice(tmp_path):
+    # r = 6/24 is a tie under l2: the grid's edges come from the lattice's
+    # offset band, as in `spectrum --dgg` and `bounds`, not from the double
+    # grid coordinates, whose rounding drops some edges at the tie.
+    out = tmp_path / "gen"
+    assert _run(["generate", "--N", 24, "--d", 2, "--p", 2, "--r", 0.25, "--out", out]) == 0
+    pairs = np.loadtxt(out / "edges.txt", dtype=int)
+    degrees = np.bincount(pairs.ravel(), minlength=24 * 24)
+    assert degrees.min() == degrees.max() == 112
+
+
 def test_generate_missing_radius_is_usage_error(tmp_path):
     with pytest.raises(SystemExit) as excinfo:
         _run(["generate", "--N", 4, "--d", 1, "--out", tmp_path])

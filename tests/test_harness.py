@@ -96,13 +96,14 @@ def test_run_trial_nonlinf_metric_uses_explicit_lattice_spectrum():
 
 
 def test_grid_sample_at_tie_radii_keeps_the_trace_bound():
-    # At r = k/N the random-graph rule on the double grid and the lattice's
-    # offset band may disagree; the trace bound then carries the difference,
-    # since the lattice spectrum is that of the A_D it is taken against.
+    # At r = k/N the closed-form lattice spectrum must be that of the A_D it
+    # is compared against: with the grid as sample, A_X is A_D, so the trace
+    # bound is 0 and the Levy distance is rounding only.
     for N in range(3, 40):
         for k in range(1, (N - 1) // 2 + 1):
             cfg = ExperimentConfig(N=N, d=1, p=INFINITY, r=k / N, sample_from_grid=True)
             result = run_trial(cfg, 0)
+            assert result.trace_bound == 0.0 and result.m_n == 0.0, (N, k)
             assert result.levy_cubed <= result.trace_bound + 1e-27, (N, k)
 
 
