@@ -13,7 +13,6 @@ from __future__ import annotations
 __version__ = "0.1.0"
 
 from .bounds import (
-    BoundReport,
     Lemma4Terms,
     Theorem1Report,
     lemma1_degree_bound,
@@ -35,8 +34,6 @@ from .geometry import (
 )
 from .graph import AdjacencyMatrix, DegreeSummary, build_adjacency, build_adjacency_reference, cross_neighbor_count, degree_summary, edge_list_text
 from .harness import (
-    CONNECTIVITY,
-    EXPLICIT,
     ExperimentConfig,
     Figure1Result,
     TrialResult,
@@ -58,12 +55,9 @@ __all__ = [
     "AnalyticRangeError",
     "AdjacencyMatrix",
     "BottleneckResult",
-    "BoundReport",
-    "CONNECTIVITY",
     "DegreeSummary",
     "DggSpec",
     "Esd",
-    "EXPLICIT",
     "ExperimentConfig",
     "Figure1Result",
     "INFINITY",

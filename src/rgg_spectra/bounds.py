@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -114,7 +113,7 @@ class Theorem1Report:
     term2_saturated: bool
     term2_volume: float
     t: float
-    a_parameter: float
+    a: float
 
 
 def check_tail_parameters(t: float, a: float) -> None:
@@ -181,45 +180,6 @@ def theorem1_rhs(
         term2_saturated=term2_saturated,
         term2_volume=term2_volume,
         t=t,
-        a_parameter=a,
+        a=a,
     )
 
-
-@dataclass(frozen=True)
-class BoundReport:
-    """All bound values for one configuration, JSON-stable field names."""
-
-    lemma1: float
-    lemma6: float
-    theorem1: Theorem1Report
-    trace: Optional[float] = None
-    lemma4: Optional[Lemma4Terms] = None
-
-    def to_json_dict(self) -> dict:
-        lemma4 = None
-        if self.lemma4 is not None:
-            lemma4 = {
-                "t_degree": self.lemma4.t_degree,
-                "t_L": self.lemma4.t_L,
-                "t_aprime": self.lemma4.t_aprime,
-            }
-        return {
-            "lemma1": self.lemma1,
-            "trace": self.trace,
-            "lemma4": lemma4,
-            "lemma6": self.lemma6,
-            "theorem1": {
-                "term1": self.theorem1.term1,
-                "term2": self.theorem1.term2,
-                "term3": self.theorem1.term3,
-                "total": self.theorem1.total,
-                "epsilon": self.theorem1.epsilon,
-                "c": self.theorem1.c,
-                "vacuous": self.theorem1.vacuous,
-                "term2_log": self.theorem1.term2_log,
-                "term2_saturated": self.theorem1.term2_saturated,
-                "term2_volume": self.theorem1.term2_volume,
-                "t": self.theorem1.t,
-                "a": self.theorem1.a_parameter,
-            },
-        }

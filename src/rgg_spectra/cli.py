@@ -9,6 +9,7 @@ Data goes to files and standard output; diagnostics go to standard error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import platform
 import sys
@@ -19,7 +20,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .bounds import BoundReport, check_matching_regime, check_tail_parameters, lemma1_degree_bound, lemma4_decomposition, lemma6_variance_bound, theorem1_rhs
+from .bounds import check_matching_regime, check_tail_parameters, lemma1_degree_bound, lemma4_decomposition, lemma6_variance_bound, theorem1_rhs
 from .dgg import dgg_eigenvalues_closed_form, dgg_eigenvalues_dft, dgg_spec
 from .geometry import INFINITY, MetricSpec, PointSet, ball_volume_theta, sample_uniform
 from .geometry import grid_points  # noqa: F401  perfbench wraps it here until ROADMAP item 5
@@ -34,7 +35,7 @@ from .harness import (
 )
 from .levy import levy_distance, levy_distance_oracle
 from .matching import bottleneck_matching  # noqa: F401  perfbench wraps it here until ROADMAP item 5
-from .spectra import Esd, esd_from_eigenvalues, sym_eigenvalues
+from .spectra import Esd, _check_order, esd_from_eigenvalues, sym_eigenvalues
 
 CLOSED_FORM_REQUIRES_LINF = "CLOSED_FORM_REQUIRES_LINF"
 
@@ -219,13 +220,15 @@ def cmd_spectrum(opts: dict) -> int:
         elif method == "dft":
             values = dgg_eigenvalues_dft(N, d, opts["p"], r)
         else:
+            _check_order(N**d)
             values = sym_eigenvalues(lattice_graph(N, d, opts["p"], r)[1])
     else:
         if method != "eig":
-            raise CliError(f"{CLOSED_FORM_REQUIRES_LINF}: --method {method} needs a --dgg lattice")
+            raise CliError(f"--method {method} needs a --dgg lattice")
         if opts.get("r") is None:
             raise CliError("--input mode needs --r")
         points = _read_points_csv(opts["input"])
+        _check_order(points.n)
         metric = MetricSpec(d=points.d, p=opts["p"])
         values = sym_eigenvalues(build_adjacency(points, opts["r"], metric))
     _write_csv(out / "eigenvalues.csv", ["eigenvalue"], [values])
@@ -294,7 +297,7 @@ def cmd_bounds(opts: dict) -> int:
     )
     check_tail_parameters(cfg.t, cfg.a)
     out = _out_dir(opts)
-    r = cfg.radius
+    r = cfg.r
     results = run_trials(cfg, cfg.trials, check=lambda result: check_matching_regime(r, result.m_n))
     p_hat, stderr = probability_from_results(results, cfg.t, cfg.trials)
     m_n_max = max(result.m_n for result in results)
@@ -307,33 +310,28 @@ def cmd_bounds(opts: dict) -> int:
     A_D = lattice_graph(cfg.N, cfg.d, cfg.p, r)[1]
     lemma4 = lemma4_decomposition(A_X, A_D, results[0].assignment, r, cfg.metric)
 
-    report = BoundReport(
-        lemma1=lemma1_degree_bound(cfg.d, cfg.p, a_n),
-        lemma6=lemma6_variance_bound(cfg.d, a_n),
-        theorem1=theorem1,
-        trace=lemma4.t0,
-        lemma4=lemma4,
-    )
-    payload = report.to_json_dict()
-    payload.update(
-        {
-            "p_hat": p_hat,
-            "stderr": stderr,
-            "m_n_max": m_n_max,
-            "ratio_2M_over_r": 2.0 * m_n_max / r,
-            "trials": cfg.trials,
-            "config": {
-                "N": cfg.N,
-                "d": cfg.d,
-                "p": _p_for_manifest(cfg.p),
-                "r": r,
-                "t": cfg.t,
-                "a": cfg.a,
-                "seed": cfg.seed,
-                "a_n": a_n,
-            },
-        }
-    )
+    payload = {
+        "lemma1": lemma1_degree_bound(cfg.d, cfg.p, a_n),
+        "trace": lemma4.t0,
+        "lemma4": {"t_degree": lemma4.t_degree, "t_L": lemma4.t_L, "t_aprime": lemma4.t_aprime},
+        "lemma6": lemma6_variance_bound(cfg.d, a_n),
+        "theorem1": dataclasses.asdict(theorem1),
+        "p_hat": p_hat,
+        "stderr": stderr,
+        "m_n_max": m_n_max,
+        "ratio_2M_over_r": 2.0 * m_n_max / r,
+        "trials": cfg.trials,
+        "config": {
+            "N": cfg.N,
+            "d": cfg.d,
+            "p": _p_for_manifest(cfg.p),
+            "r": r,
+            "t": cfg.t,
+            "a": cfg.a,
+            "seed": cfg.seed,
+            "a_n": a_n,
+        },
+    }
     _write_json(out / "bounds.json", payload)
     _write_csv(
         out / "trials.csv",
@@ -360,9 +358,6 @@ def cmd_replay(opts: dict) -> int:
     args = dict(manifest["args"])
     if "p" in args and args["p"] is not None:
         args["p"] = _p_from_manifest(args["p"])
-    if command == "spectrum" and args.get("dgg") is not None:
-        N, d, r = args["dgg"]
-        args["dgg"] = (int(N), int(d), float(r))
     args["out"] = opts["out"]
     commands = _commands()
     if command not in commands or command == "replay":

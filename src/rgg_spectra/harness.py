@@ -2,11 +2,13 @@
 paired-CDF comparison experiment.
 
 Each trial samples points, builds the random-graph adjacency, compares its
-spectrum against the lattice spectrum (closed form under l_infinity, the DFT
-of the lattice's offset band otherwise), and evaluates the bottleneck
-matching and the trace bound.  The lattice graph and its spectrum both come
-from dgg.dgg_band and depend only on (N, d, p, r), so they are built once per
-configuration and cached; only the random graph is rebuilt per trial.
+spectrum against the lattice spectrum (the DFT of the lattice's offset band,
+for every p), and evaluates the bottleneck matching and the trace bound.
+The lattice graph and its spectrum both come from dgg.dgg_band and depend
+only on (N, d, p, r), so they are built once per configuration and cached;
+only the random graph is rebuilt per trial.  The l_infinity closed form is
+only a check route (the CLI's --method closed and the tests);
+figure1_experiment still reports its reach k.
 Per-trial seeds are a documented splitmix64 mix of the master seed and the
 trial index, so every aggregate is reproducible bit-for-bit.
 """
@@ -21,15 +23,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .dgg import dgg_band, dgg_eigenvalues_closed_form, dgg_eigenvalues_dft, dgg_spec
+from .dgg import dgg_band, dgg_eigenvalues_dft, dgg_spec
+from .dgg import dgg_eigenvalues_closed_form  # noqa: F401  perfbench wraps it here until ROADMAP item 5
 from .geometry import INFINITY, MetricSpec, PointSet, ball_volume_theta, grid_points, sample_uniform
 from .graph import AdjacencyMatrix, _aligned, _refuse_dense, build_adjacency
 from .levy import levy_distance, trace_bound
 from .matching import bottleneck_matching
-from .spectra import MAX_EIG_ORDER, Esd, esd_from_eigenvalues, sym_eigenvalues, twin_classes
-
-EXPLICIT = "explicit"
-CONNECTIVITY = "connectivity"
+from .spectra import MAX_EIG_ORDER, Esd, _check_order, esd_from_eigenvalues, sym_eigenvalues, twin_classes
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -50,20 +50,18 @@ def trial_seed(master_seed: int, trial_index: int) -> int:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment: lattice side N, dimension d, metric p, radius rule,
+    """One experiment: lattice side N, dimension d, metric p, radius r > 0,
     tail threshold t, Chernoff parameter a, trial count, and master seed.
 
-    radius_rule EXPLICIT uses the given r; CONNECTIVITY derives
-    r = log(n)/sqrt(n) from n = N^d.  sample_from_grid is a test hook that
-    replaces the random sample and its graph by the grid and the lattice
-    graph, so the Levy distance, trace bound and matching cost vanish.
+    sample_from_grid is a test hook that replaces the random sample and its
+    graph by the grid and the lattice graph, so the Levy distance, trace
+    bound and matching cost vanish.
     """
 
     N: int
     d: int
     p: float
-    radius_rule: str = EXPLICIT
-    r: float | None = None
+    r: float
     t: float = 1.0
     a: float = 2.0
     trials: int = 1
@@ -71,10 +69,8 @@ class ExperimentConfig:
     sample_from_grid: bool = False
 
     def __post_init__(self) -> None:
-        if self.radius_rule not in (EXPLICIT, CONNECTIVITY):
-            raise ValueError(f"unknown radius rule {self.radius_rule!r}")
-        if self.radius_rule == EXPLICIT and (self.r is None or not self.r > 0):
-            raise ValueError("EXPLICIT radius rule needs r > 0")
+        if not self.r > 0:
+            raise ValueError(f"need r > 0, got {self.r}")
         if self.trials < 1:
             raise ValueError(f"need trials >= 1, got {self.trials}")
         if self.n > MAX_EIG_ORDER:
@@ -83,12 +79,6 @@ class ExperimentConfig:
     @property
     def n(self) -> int:
         return self.N**self.d
-
-    @property
-    def radius(self) -> float:
-        if self.radius_rule == CONNECTIVITY:
-            return math.log(self.n) / math.sqrt(self.n)
-        return float(self.r)
 
     @property
     def metric(self) -> MetricSpec:
@@ -126,18 +116,21 @@ def lattice_graph(N: int, d: int, p: float, r: float) -> tuple[PointSet, Adjacen
 
 @lru_cache(maxsize=32)
 def _dgg_esd(N: int, d: int, p: float, r: float) -> Esd:
-    """Lattice ESD: the closed form when p = INFINITY, the band's DFT otherwise."""
-    if p == INFINITY:
-        return esd_from_eigenvalues(dgg_eigenvalues_closed_form(dgg_spec(N, d, r)))
+    """Lattice ESD: the DFT of dgg_band, for every p and every radius.
+
+    The lattice is a d-level circulant, so the DFT is its spectrum, also
+    where the l_infinity cube wraps onto itself (2k+1 > N: the lattice is
+    then the complete graph) and the closed form no longer applies.
+    """
     return esd_from_eigenvalues(dgg_eigenvalues_dft(N, d, p, r))
 
 
 def run_trial(cfg: ExperimentConfig, trial_index: int) -> TrialResult:
     """Execute one fully deterministic trial of the comparison pipeline.
 
-    The lattice comes first, so an out-of-range one fails before sampling.
+    The lattice comes first, so one that cannot be built fails before sampling.
     """
-    n, r, metric = cfg.n, cfg.radius, cfg.metric
+    n, r, metric = cfg.n, cfg.r, cfg.metric
     esd_dgg = _dgg_esd(cfg.N, cfg.d, cfg.p, r)
     grid, A_D = lattice_graph(cfg.N, cfg.d, cfg.p, r)
     if cfg.sample_from_grid:
@@ -237,15 +230,18 @@ class Figure1Result:
 def figure1_experiment(n: int = 2000, d: int = 1, seed: int = 1) -> Figure1Result:
     """Connectivity-regime CDF comparison at r = log(n)/sqrt(n), l_infinity.
 
-    n must be a perfect d-th power so the lattice has the same size.  Emits
-    the union-of-atoms x grid, the random-graph empirical CDF, the analytic
-    lattice CDF, their Levy distance, and the random graph's twin share and
-    -1 atom.
+    n must be a perfect d-th power so the lattice has the same size, and at
+    most MAX_EIG_ORDER; the reported reach k needs 2k+1 <= N (dgg_spec).
+    All three are checked before sampling.  Emits the union-of-atoms x grid,
+    the random-graph empirical CDF, the lattice CDF, their Levy distance, and
+    the random graph's twin share and -1 atom.
     """
     N = round(n ** (1.0 / d))
     if N**d != n:
         raise ValueError(f"n = {n} is not a perfect {d}-th power")
+    _check_order(n)
     r = math.log(n) / math.sqrt(n)
+    k = dgg_spec(N, d, r).k
 
     esd_dgg = _dgg_esd(N, d, INFINITY, r)
     sample = sample_uniform(n, d, seed)
@@ -267,7 +263,7 @@ def figure1_experiment(n: int = 2000, d: int = 1, seed: int = 1) -> Figure1Resul
         d=d,
         r=r,
         a_n_implied=a_n_implied,
-        k=dgg_spec(N, d, r).k,
+        k=k,
         twin_frac=1.0 - twin_classes(A)[0].size / n,  # kept on A by sym_eigenvalues
         atom_minus1_frac=float(np.mean(np.abs(esd_rgg.eigenvalues + 1.0) <= ATOM_TOLERANCE)),
         esd_rgg=esd_rgg,

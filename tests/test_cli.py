@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import importlib
 import inspect
 import json
+import pkgutil
 import re
 import shlex
 from pathlib import Path
@@ -12,7 +14,7 @@ import numpy as np
 import pytest
 
 import rgg_spectra
-from rgg_spectra import harness
+from rgg_spectra import cli, harness
 from rgg_spectra.cli import build_parser, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -103,6 +105,50 @@ def test_spectrum_from_points_file(tmp_path):
     rows = (out / "eigenvalues.csv").read_text().splitlines()
     assert len(rows) == 13
     assert (out / "cdf.svg").read_text().startswith("<svg ")
+
+
+def test_spectrum_from_points_refuses_the_lattice_methods(tmp_path, capsys):
+    gen = tmp_path / "gen"
+    assert _run(["generate", "--n", 12, "--d", 1, "--r", 0.3, "--out", gen]) == 0
+    for method in ("dft", "closed"):
+        rc = _run(["spectrum", "--input", gen / "points.csv", "--method", method, "--r", 0.3, "--out", tmp_path / method])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"--method {method} needs a --dgg lattice" in err
+        assert "CLOSED_FORM_REQUIRES_LINF" not in err
+
+
+def _refuse_graph_building(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the graph was built before its order was checked")
+
+    for module, name in ((harness, "sample_uniform"), (harness, "build_adjacency"), (cli, "build_adjacency"), (cli, "lattice_graph")):
+        monkeypatch.setattr(module, name, refuse)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compare", "--fig1", "--n", 6000],
+        ["spectrum", "--input", "points.csv", "--r", 0.01, "--method", "eig"],
+        ["spectrum", "--dgg", "80,2,0.05", "--p", 2, "--method", "eig"],
+    ],
+    ids=["fig1", "input", "dgg-eig"],
+)
+def test_orders_past_the_eigensolver_ceiling_fail_before_the_graph_is_built(tmp_path, capsys, monkeypatch, argv):
+    _refuse_graph_building(monkeypatch)
+    (tmp_path / "points.csv").write_text("x1\n" + "".join(f"{i / 4097!r}\n" for i in range(4097)))
+    argv = [tmp_path / arg if arg == "points.csv" else arg for arg in argv]
+    assert _run(argv + ["--out", tmp_path / "out"]) == 1
+    assert "exceeds the dense-eigensolver ceiling 4096" in capsys.readouterr().err
+
+
+def test_lattice_spectra_past_the_eigensolver_ceiling_need_no_graph(tmp_path, monkeypatch):
+    _refuse_graph_building(monkeypatch)
+    for p, method in (("2", "dft"), ("inf", "closed")):
+        out = tmp_path / method
+        assert _run(["spectrum", "--dgg", "80,2,0.05", "--p", p, "--method", method, "--out", out]) == 0
+        assert len((out / "eigenvalues.csv").read_text().splitlines()) == 1 + 80 * 80
 
 
 def test_spectrum_parse_error_reports_line(tmp_path, capsys):
@@ -251,3 +297,18 @@ def test_readme_calls_bind_to_signatures():
             pytest.fail(f"README `{name}({args})` does not fit the signature: {exc}")
         checked += 1
     assert checked >= 10
+
+
+def test_readme_names_resolve():
+    """Every backticked bare identifier in the README that starts with a
+    capital letter is an attribute of some rgg_spectra module; the one
+    environment variable is the exception."""
+    modules = [rgg_spectra] + [
+        importlib.import_module(f"rgg_spectra.{info.name}")
+        for info in pkgutil.iter_modules(rgg_spectra.__path__)
+        if info.name != "__main__"
+    ]
+    names = set(re.findall(r"`([A-Z]\w*)`", README.read_text())) - {"RGG_SPECTRA_THREADS"}
+    missing = sorted(name for name in names if not any(hasattr(module, name) for module in modules))
+    assert not missing, f"README names {missing}, which no rgg_spectra module defines"
+    assert len(names) >= 10

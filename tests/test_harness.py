@@ -10,10 +10,7 @@ import pytest
 
 from oracles import splitmix64_reference
 from rgg_spectra import harness
-from rgg_spectra.dgg import AnalyticRangeError
 from rgg_spectra.harness import (
-    CONNECTIVITY,
-    EXPLICIT,
     ExperimentConfig,
     estimate_probability,
     figure1_experiment,
@@ -22,6 +19,7 @@ from rgg_spectra.harness import (
     run_trials,
     trial_seed,
 )
+from rgg_spectra.dgg import dgg_spec
 from rgg_spectra.geometry import INFINITY
 
 
@@ -38,20 +36,17 @@ def test_trial_seed_is_the_splitmix_stream():
 def test_config_derived_quantities():
     cfg = ExperimentConfig(N=8, d=2, p=2, r=0.2)
     assert cfg.n == 64
-    assert cfg.radius == 0.2
-    auto = ExperimentConfig(N=64, d=1, p=INFINITY, radius_rule=CONNECTIVITY)
-    assert auto.radius == pytest.approx(math.log(64) / 8.0, rel=1e-15)
-    with pytest.raises(ValueError):
-        ExperimentConfig(N=8, d=1, p=2, radius_rule="bogus")
-    with pytest.raises(ValueError):
-        ExperimentConfig(N=8, d=1, p=2, radius_rule=EXPLICIT)  # r missing
+    assert cfg.r == 0.2
+    for r in (0.0, -0.1, math.nan):
+        with pytest.raises(ValueError, match="need r > 0"):
+            ExperimentConfig(N=8, d=1, p=2, r=r)
     with pytest.raises(ValueError):
         ExperimentConfig(N=8, d=1, p=2, r=0.2, trials=0)
     ExperimentConfig(N=64, d=2, p=2, r=0.2)  # 4096, the eigensolver ceiling itself
     with pytest.raises(ValueError, match="ceiling"):
         ExperimentConfig(N=65, d=2, p=2, r=0.2)
     with pytest.raises(ValueError, match="ceiling"):
-        ExperimentConfig(N=17, d=3, p=INFINITY, radius_rule=CONNECTIVITY)
+        ExperimentConfig(N=17, d=3, p=INFINITY, r=0.2)
 
 
 def test_run_trial_invariants_and_determinism():
@@ -71,17 +66,47 @@ def test_run_trial_checks_the_lattice_before_sampling(monkeypatch):
     def refuse(*args):
         raise AssertionError("sampled before the lattice was checked")
 
+    def fail(*args):
+        raise ValueError("lattice refused")
+
     monkeypatch.setattr(harness, "sample_uniform", refuse)
-    cfg = ExperimentConfig(N=8, d=1, p=INFINITY, r=0.5, seed=1)  # 2k+1 = 9 > N
-    with pytest.raises(AnalyticRangeError):
+    monkeypatch.setattr(harness, "_dgg_esd", fail)
+    cfg = ExperimentConfig(N=8, d=1, p=INFINITY, r=0.2, seed=1)
+    with pytest.raises(ValueError, match="lattice refused"):
         run_trial(cfg, 0)
+
+
+def _linf_ring_reference(N: int, k: int) -> np.ndarray:
+    """Ascending eigenvalues 2 sum_{h=1..k} cos(2 pi ((m h) mod N) / N) of the
+    d = 1 l_inf lattice of reach k, each summed exactly with math.fsum."""
+    h = np.arange(1, k + 1)
+    return np.sort([2.0 * math.fsum(np.cos(2.0 * np.pi * ((m * h) % N) / N)) for m in range(N)])
+
+
+@pytest.mark.parametrize("N", [256, 2000])
+def test_lattice_spectrum_is_accurate_at_figure1_radii(N):
+    # Here the DFT is within 1.6e-14 (N = 256) and 1.1e-13 (N = 2000) of the
+    # exact sums; the l_inf closed-form product is off by 3.6e-12 and 6.3e-11.
+    r = math.log(N) / math.sqrt(N)
+    reference = _linf_ring_reference(N, dgg_spec(N, 1, r).k)
+    assert np.max(np.abs(harness._dgg_esd(N, 1, INFINITY, r).eigenvalues - reference)) <= 1e-12
+
+
+@pytest.mark.parametrize("N, r", [(8, 0.5), (9, 0.6)])
+def test_linf_trials_run_where_the_lattice_is_complete(N, r):
+    # r >= ceil(N/2)/N gives 2k+1 > N, past the closed form's range; the
+    # lattice is then the complete graph and its DFT spectrum is exact.
+    cfg = ExperimentConfig(N=N, d=1, p=INFINITY, r=r, sample_from_grid=True)
+    result = run_trial(cfg, 0)
+    assert result.trace_bound == 0.0 and result.m_n == 0.0
+    assert result.levy_cubed <= 1e-27
 
 
 def test_run_trial_grid_sample_hook():
     cfg = ExperimentConfig(N=8, d=1, p=INFINITY, r=0.2, seed=3, sample_from_grid=True)
     result = run_trial(cfg, 0)
-    # closed-form lattice eigenvalues differ from the dense solver's only in
-    # the last float bits, so the distance is at most that discrepancy
+    # DFT lattice eigenvalues differ from the dense solver's only in the
+    # last float bits, so the distance is at most that discrepancy
     assert result.levy_cubed <= 1e-27
     assert result.trace_bound == 0.0
     assert result.m_n == 0.0
@@ -96,9 +121,9 @@ def test_run_trial_nonlinf_metric_uses_explicit_lattice_spectrum():
 
 
 def test_grid_sample_at_tie_radii_keeps_the_trace_bound():
-    # At r = k/N the closed-form lattice spectrum must be that of the A_D it
-    # is compared against: with the grid as sample, A_X is A_D, so the trace
-    # bound is 0 and the Levy distance is rounding only.
+    # At r = k/N the lattice spectrum must be that of the A_D it is compared
+    # against: with the grid as sample, A_X is A_D, so the trace bound is 0
+    # and the Levy distance is rounding only.
     for N in range(3, 40):
         for k in range(1, (N - 1) // 2 + 1):
             cfg = ExperimentConfig(N=N, d=1, p=INFINITY, r=k / N, sample_from_grid=True)
