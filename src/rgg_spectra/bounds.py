@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import INFINITY, MetricSpec, ball_volume_theta
-from .graph import AdjacencyMatrix, _aligned, _check_permutation, degree_summary
+from .graph import AdjacencyMatrix, _aligned, _check_permutation
 
 # Unused here; perfbench wraps them here until ROADMAP item 5.
 from .graph import build_adjacency  # noqa: F401
@@ -85,7 +85,7 @@ def lemma4_decomposition(
     aprime_emp = float(A_D.degrees().mean())
     t1 = mean_degree + aprime_emp - 2.0 * common / n
 
-    a_n = degree_summary(A_X, n, m.d, r).average_degree_theoretical
+    a_n = ball_volume_theta(m.d) * n * r**m.d
     coeff = d_power(m.d, 1.0, m.p) * 2 ** (m.d + 1)
     t_degree = coeff * abs(mean_degree - a_n)
     t_L = coeff * abs(a_n - 2.0 * common / n)

@@ -91,8 +91,11 @@ def _out_dir(opts: dict) -> Path:
 
 
 def _write_manifest(out: Path, command: str, opts: dict) -> None:
-    """manifest.json: every option but --out (p as "inf" or a number), plus versions."""
+    """manifest.json: every option but --out (p as "inf" or a number, input
+    files as absolute paths, so that a replay from any directory reads them),
+    plus versions."""
     args = {key: _p_for_manifest(value) if key == "p" else value for key, value in opts.items() if key != "out"}
+    args.update({key: str(Path(args[key]).resolve()) for key in ("input", "esd_a", "esd_b") if args.get(key) is not None})
     payload = {
         "command": command,
         "args": args,
@@ -107,55 +110,34 @@ def _write_manifest(out: Path, command: str, opts: dict) -> None:
     _write_json(out / "manifest.json", payload)
 
 
-def _read_points_csv(path: str) -> PointSet:
+def _read_csv(path: str) -> np.ndarray:
+    """The data rows of a CSV file after its header line, as a (rows, columns)
+    array; the header sets the number of columns and blank lines are skipped."""
     rows = []
     with open(path) as handle:
-        header = handle.readline()
-        d = len(header.strip().split(","))
+        width = len(handle.readline().strip().split(","))
         for lineno, line in enumerate(handle, start=2):
             if not line.strip():
                 continue
-            cells = line.strip().split(",")
             try:
-                row = [float(cell) for cell in cells]
+                row = [float(cell) for cell in line.strip().split(",")]
             except ValueError as exc:
                 raise CliError(f"parse error at {path}:{lineno}: {exc}") from exc
-            if len(row) != d:
-                raise CliError(f"parse error at {path}:{lineno}: expected {d} columns, got {len(row)}")
+            if len(row) != width:
+                raise CliError(f"parse error at {path}:{lineno}: expected {width} columns, got {len(row)}")
             rows.append(row)
     if not rows:
         raise CliError(f"parse error at {path}: no data rows")
-    return PointSet(d=d, coords=np.array(rows), kind="sample")
+    return np.array(rows)
 
 
-def _read_eigenvalues_csv(path: str) -> np.ndarray:
-    values = []
-    with open(path) as handle:
-        handle.readline()  # header
-        for lineno, line in enumerate(handle, start=2):
-            if not line.strip():
-                continue
-            try:
-                values.append(float(line.strip()))
-            except ValueError as exc:
-                raise CliError(f"parse error at {path}:{lineno}: {exc}") from exc
-    if not values:
-        raise CliError(f"parse error at {path}: no data rows")
-    return np.array(values)
-
-
-def _step_cdf(esd: Esd, color: str) -> tuple[np.ndarray, np.ndarray, str]:
-    """One curve for _svg_step_plot: the distinct eigenvalues and the CDF at each."""
-    atoms = np.unique(esd.eigenvalues)
-    return atoms, np.searchsorted(esd.eigenvalues, atoms, side="right") / esd.n, color
-
-
-def _svg_step_plot(curves: list[tuple[np.ndarray, np.ndarray, str]], title: str) -> str:
-    """Minimal hand-written step plot: axes plus one polyline per CDF."""
+def _svg_step_plot(esds: list[Esd], title: str) -> str:
+    """Minimal hand-written step plot: axes plus one polyline per step CDF,
+    blue for the first ESD and red for the second."""
     width, height = 640, 400
     left, right, top, bottom = 60, 620, 30, 360
-    xs = np.concatenate([c[0] for c in curves])
-    x_min, x_max = float(xs.min()), float(xs.max())
+    x_min = min(float(esd.eigenvalues[0]) for esd in esds)
+    x_max = max(float(esd.eigenvalues[-1]) for esd in esds)
     pad = 0.05 * (x_max - x_min or 1.0)
     x_min, x_max = x_min - pad, x_max + pad
 
@@ -180,7 +162,9 @@ def _svg_step_plot(curves: list[tuple[np.ndarray, np.ndarray, str]], title: str)
         parts.append(
             f'<text x="{px(x_tick):.2f}" y="{bottom + 16}" font-size="11" text-anchor="middle">{x_tick:.3g}</text>'
         )
-    for atoms, cdf, color in curves:
+    for esd, color in zip(esds, ("#1f77b4", "#d62728")):
+        atoms = np.unique(esd.eigenvalues)
+        cdf = np.searchsorted(esd.eigenvalues, atoms, side="right") / esd.n
         coords = [f"M {px(float(atoms[0])):.2f} {py(0.0):.2f}"]
         level = 0.0
         for x, y in zip(atoms, cdf):
@@ -227,53 +211,44 @@ def cmd_spectrum(opts: dict) -> int:
             raise CliError(f"--method {method} needs a --dgg lattice")
         if opts.get("r") is None:
             raise CliError("--input mode needs --r")
-        points = _read_points_csv(opts["input"])
+        coords = _read_csv(opts["input"])
+        points = PointSet(d=coords.shape[1], coords=coords, kind="sample")
         _check_order(points.n)
         metric = MetricSpec(d=points.d, p=opts["p"])
         values = sym_eigenvalues(build_adjacency(points, opts["r"], metric))
     _write_csv(out / "eigenvalues.csv", ["eigenvalue"], [values])
     if opts["plot"]:
-        curve = _step_cdf(esd_from_eigenvalues(values), "#1f77b4")
-        _write_text(out / "cdf.svg", _svg_step_plot([curve], "spectral CDF"))
+        _write_text(out / "cdf.svg", _svg_step_plot([esd_from_eigenvalues(values)], "spectral CDF"))
     _write_manifest(out, "spectrum", opts)
     return 0
 
 
 def cmd_compare(opts: dict) -> int:
     out = _out_dir(opts)
-    payload: dict = {}
     if opts.get("fig1"):
         result = figure1_experiment(n=opts["n"], d=opts["d"], seed=opts["seed"])
         _write_csv(out / "cdf_table.csv", ["x", "cdf_rgg", "cdf_dgg"], [result.x, result.cdf_rgg, result.cdf_dgg])
         esd_a, esd_b = result.esd_rgg, result.esd_dgg
-        payload.update(
-            {
-                "n": result.n,
-                "d": result.d,
-                "r": result.r,
-                "a_n_implied": result.a_n_implied,
-                "k": result.k,
-                "twin_frac": result.twin_frac,
-                "atom_minus1_frac": result.atom_minus1_frac,
-                "levy": result.levy,
-                "levy_cubed": result.levy**3,
-                "trace_bound": None,
-            }
-        )
+        payload = {
+            "n": result.n,
+            "d": result.d,
+            "r": result.r,
+            "a_n_implied": result.a_n_implied,
+            "k": result.k,
+            "twin_frac": result.twin_frac,
+            "atom_minus1_frac": result.atom_minus1_frac,
+            "levy": result.levy,
+        }
         if opts["plot"]:
-            curves = [_step_cdf(esd_a, "#1f77b4"), _step_cdf(esd_b, "#d62728")]
-            _write_text(out / "cdf.svg", _svg_step_plot(curves, f"empirical vs analytic CDF, n={result.n}"))
+            _write_text(out / "cdf.svg", _svg_step_plot([esd_a, esd_b], f"empirical vs analytic CDF, n={result.n}"))
     else:
-        esd_a = esd_from_eigenvalues(_read_eigenvalues_csv(opts["esd_a"]))
-        esd_b = esd_from_eigenvalues(_read_eigenvalues_csv(opts["esd_b"]))
-        result_levy = levy_distance(esd_a, esd_b)
-        payload.update(
-            {
-                "levy": result_levy.distance,
-                "levy_cubed": result_levy.distance**3,
-                "trace_bound": None,
-            }
-        )
+        table_a, table_b = _read_csv(opts["esd_a"]), _read_csv(opts["esd_b"])
+        if table_a.shape[1] != 1 or table_b.shape[1] != 1:
+            raise CliError(f"--esd-a/--esd-b need one eigenvalue column each, got {table_a.shape[1]} and {table_b.shape[1]}")
+        esd_a, esd_b = esd_from_eigenvalues(table_a[:, 0]), esd_from_eigenvalues(table_b[:, 0])
+        payload = {"levy": levy_distance(esd_a, esd_b).distance}
+    payload["levy_cubed"] = payload["levy"] ** 3
+    payload["trace_bound"] = None
     if opts["oracle"]:
         payload["oracle"] = levy_distance_oracle(esd_a, esd_b, opts["oracle_step"])
     _write_json(out / "compare.json", payload)
@@ -378,11 +353,9 @@ def _commands() -> dict:
 
 
 def _parse_dgg(text: str) -> tuple[int, int, float]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"--dgg needs 'N,d,r', got {text!r}")
     try:
-        return int(parts[0]), int(parts[1]), float(parts[2])
+        N, d, r = text.split(",")
+        return int(N), int(d), float(r)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"--dgg needs 'N,d,r', got {text!r}") from exc
 
@@ -394,8 +367,10 @@ def build_parser() -> argparse.ArgumentParser:
         "lattice spectra, Levy-distance comparison, and tail-bound evaluation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=".")
 
-    gen = sub.add_parser("generate", help="sample or grid points plus their adjacency edge list")
+    gen = sub.add_parser("generate", parents=[out], help="sample or grid points plus their adjacency edge list")
     size = gen.add_mutually_exclusive_group(required=True)
     size.add_argument("--n", type=int, help="random sample size")
     size.add_argument("--N", type=int, help="grid side count (N^d points)")
@@ -403,9 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--p", type=_parse_p, default=INFINITY)
     gen.add_argument("--r", type=float, required=True)
     gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--out", default=".")
 
-    spec = sub.add_parser("spectrum", help="eigenvalues of a point-set graph or the analytic lattice")
+    spec = sub.add_parser("spectrum", parents=[out], help="eigenvalues of a point-set graph or the analytic lattice")
     source = spec.add_mutually_exclusive_group(required=True)
     source.add_argument("--input", help="points.csv to build a graph from")
     source.add_argument("--dgg", type=_parse_dgg, metavar="N,d,r")
@@ -413,9 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
     spec.add_argument("--p", type=_parse_p, default=INFINITY)
     spec.add_argument("--r", type=float)
     spec.add_argument("--plot", action="store_true")
-    spec.add_argument("--out", default=".")
 
-    comp = sub.add_parser("compare", help="Levy distance between two spectra")
+    comp = sub.add_parser("compare", parents=[out], help="Levy distance between two spectra")
     mode = comp.add_mutually_exclusive_group(required=True)
     mode.add_argument("--fig1", action="store_true", help="connectivity-regime CDF comparison")
     mode.add_argument("--esd-a", dest="esd_a", help="first eigenvalue CSV")
@@ -426,9 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
     comp.add_argument("--oracle", action="store_true")
     comp.add_argument("--oracle-step", dest="oracle_step", type=float, default=1e-3)
     comp.add_argument("--plot", action="store_true")
-    comp.add_argument("--out", default=".")
 
-    bnd = sub.add_parser("bounds", help="tail-bound report plus Monte Carlo estimate")
+    bnd = sub.add_parser("bounds", parents=[out], help="tail-bound report plus Monte Carlo estimate")
     bnd.add_argument("--N", type=int, required=True)
     bnd.add_argument("--d", type=int, required=True)
     bnd.add_argument("--p", type=_parse_p, default=INFINITY)
@@ -437,11 +409,9 @@ def build_parser() -> argparse.ArgumentParser:
     bnd.add_argument("--a", type=float, default=2.0)
     bnd.add_argument("--trials", type=int, required=True)
     bnd.add_argument("--seed", type=int, default=0)
-    bnd.add_argument("--out", default=".")
 
-    rep = sub.add_parser("replay", help="rerun a recorded command from its manifest")
+    rep = sub.add_parser("replay", parents=[out], help="rerun a recorded command from its manifest")
     rep.add_argument("--manifest", required=True)
-    rep.add_argument("--out", default=".")
     return parser
 
 

@@ -29,7 +29,7 @@ from .geometry import INFINITY, MetricSpec, PointSet, ball_volume_theta, grid_po
 from .graph import AdjacencyMatrix, _aligned, _refuse_dense, build_adjacency
 from .levy import levy_distance, trace_bound
 from .matching import bottleneck_matching
-from .spectra import MAX_EIG_ORDER, Esd, _check_order, esd_from_eigenvalues, sym_eigenvalues, twin_classes
+from .spectra import Esd, _check_order, esd_from_eigenvalues, sym_eigenvalues, twin_classes
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -73,8 +73,7 @@ class ExperimentConfig:
             raise ValueError(f"need r > 0, got {self.r}")
         if self.trials < 1:
             raise ValueError(f"need trials >= 1, got {self.trials}")
-        if self.n > MAX_EIG_ORDER:
-            raise ValueError(f"N^d = {self.n} exceeds the dense-eigensolver ceiling {MAX_EIG_ORDER}")
+        _check_order(self.n)
 
     @property
     def n(self) -> int:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
 import inspect
 import json
@@ -17,7 +18,8 @@ import rgg_spectra
 from rgg_spectra import cli, harness
 from rgg_spectra.cli import build_parser, main
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def _run(argv):
@@ -157,6 +159,63 @@ def test_spectrum_parse_error_reports_line(tmp_path, capsys):
     rc = _run(["spectrum", "--input", bad, "--method", "eig", "--r", 0.2, "--out", tmp_path])
     assert rc == 2
     assert f"{bad}:3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("x1,x2\n0.1,0.2\n0.3,0.4,0.5\n", "{path}:3: expected 2 columns, got 3"),
+        ("x1,x2\n\n", "parse error at {path}: no data rows"),
+    ],
+    ids=["wrong-width", "header-only"],
+)
+def test_spectrum_points_file_errors(tmp_path, capsys, text, message):
+    path = tmp_path / "points.csv"
+    path.write_text(text)
+    rc = _run(["spectrum", "--input", path, "--method", "eig", "--r", 0.2, "--out", tmp_path / "out"])
+    assert rc == 2
+    assert message.format(path=path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("eigenvalue\n0.5\n\noops\n", "parse error at {path}:4"),
+        ("eigenvalue,extra\n0.5,1.0\n-0.5,2.0\n", "one eigenvalue column each, got 2 and 1"),
+    ],
+    ids=["non-numeric", "two-columns"],
+)
+def test_compare_eigenvalue_file_errors(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    good = tmp_path / "good.csv"
+    good.write_text("eigenvalue\n-1.0\n1.0\n")
+    rc = _run(["compare", "--esd-a", path, "--esd-b", good, "--out", tmp_path / "out"])
+    assert rc == 2
+    assert message.format(path=path) in capsys.readouterr().err
+    assert not (tmp_path / "out" / "compare.json").exists()
+
+
+def test_replay_reads_its_inputs_from_any_directory(tmp_path, monkeypatch):
+    (tmp_path / "elsewhere").mkdir()
+    monkeypatch.chdir(tmp_path)
+    assert _run(["generate", "--n", 12, "--d", 2, "--p", 2, "--r", 0.3, "--out", "gen"]) == 0
+    assert _run(["spectrum", "--input", "gen/points.csv", "--method", "eig", "--p", 2, "--r", 0.3, "--plot", "--out", "sp"]) == 0
+    assert _run(["compare", "--esd-a", "sp/eigenvalues.csv", "--esd-b", "sp/eigenvalues.csv", "--out", "cmp"]) == 0
+    monkeypatch.chdir(tmp_path / "elsewhere")
+    for name, files in (("sp", ["eigenvalues.csv", "cdf.svg"]), ("cmp", ["compare.json"])):
+        assert _run(["replay", "--manifest", tmp_path / name / "manifest.json", "--out", "replayed-" + name]) == 0
+        for file in files:
+            assert (tmp_path / name / file).read_bytes() == (Path("replayed-" + name) / file).read_bytes()
+
+
+def test_bounds_and_spectrum_report_the_ceiling_alike(tmp_path, capsys):
+    for argv, order in (
+        (["bounds", "--N", 65, "--d", 2, "--r", 0.1, "--t", 1, "--trials", 1], 4225),
+        (["spectrum", "--dgg", "80,2,0.05", "--p", 2, "--method", "eig"], 6400),
+    ):
+        assert _run(argv + ["--out", tmp_path / "out"]) == 1
+        assert f"error: order {order} exceeds the dense-eigensolver ceiling 4096" in capsys.readouterr().err
 
 
 def test_compare_identical_files(tmp_path, capsys):
@@ -312,3 +371,21 @@ def test_readme_names_resolve():
     missing = sorted(name for name in names if not any(hasattr(module, name) for module in modules))
     assert not missing, f"README names {missing}, which no rgg_spectra module defines"
     assert len(names) >= 10
+
+
+def test_unused_imports_are_perfbench_wrapping_points(monkeypatch):
+    """Every `# noqa: F401` import in rgg_spectra names an attribute that
+    perfbench/tracer.TARGETS wraps on the importing module, so an import left
+    behind when TARGETS shrinks fails here."""
+    monkeypatch.syspath_prepend(str(ROOT))
+    tracer = importlib.import_module("perfbench.tracer")
+    wrapped = {(module, attr) for module, attr, *_ in tracer.TARGETS}
+    unused = set()
+    for path in sorted((ROOT / "src" / "rgg_spectra").glob("*.py")):
+        text = path.read_text()
+        lines = text.splitlines()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ImportFrom) and "# noqa: F401" in "\n".join(lines[node.lineno - 1 : node.end_lineno]):
+                unused |= {(path.stem, alias.asname or alias.name) for alias in node.names}
+    assert unused, "no wrapping-point imports found"
+    assert not unused - wrapped, f"imports kept only for perfbench that it does not wrap: {sorted(unused - wrapped)}"
