@@ -26,13 +26,14 @@ from .geometry import (
     MAX_PAIRWISE_BYTES,
     MetricSpec,
     PointSet,
+    average_degree,
     ball_volume_theta,
     grid_points,
     sample_uniform,
     torus_distance,
     torus_distance_matrix,
 )
-from .graph import AdjacencyMatrix, DegreeSummary, build_adjacency, build_adjacency_reference, cross_neighbor_count, degree_summary, edge_list_text
+from .graph import AdjacencyMatrix, build_adjacency, edge_list_text
 from .harness import (
     ExperimentConfig,
     Figure1Result,
@@ -55,7 +56,6 @@ __all__ = [
     "AnalyticRangeError",
     "AdjacencyMatrix",
     "BottleneckResult",
-    "DegreeSummary",
     "DggSpec",
     "Esd",
     "ExperimentConfig",
@@ -69,13 +69,11 @@ __all__ = [
     "PointSet",
     "Theorem1Report",
     "TrialResult",
+    "average_degree",
     "ball_volume_theta",
     "bottleneck_matching",
     "bottleneck_rate_envelope",
     "build_adjacency",
-    "build_adjacency_reference",
-    "cross_neighbor_count",
-    "degree_summary",
     "dgg_band",
     "dgg_degree",
     "dgg_eigenvalues_closed_form",

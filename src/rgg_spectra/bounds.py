@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import INFINITY, MetricSpec, ball_volume_theta
+from .geometry import INFINITY, MetricSpec, average_degree, ball_volume_theta
 from .graph import AdjacencyMatrix, _aligned, _check_permutation
+from .levy import trace_bound
 
 # Unused here; perfbench wraps them here until ROADMAP item 5.
 from .graph import build_adjacency  # noqa: F401
@@ -76,16 +77,15 @@ def lemma4_decomposition(
     if A_D.n != n:
         raise ValueError(f"matrix orders differ: {n} vs {A_D.n}")
     aligned = _aligned(A_D, _check_permutation(matching, n))
-    # 0/1 entries: (A_X - aligned)^2 counts the differing entries, and the
-    # common edges sum cross_neighbor_count over all nodes.
-    t0 = np.count_nonzero(A_X.entries != aligned) / n
+    t0 = trace_bound(A_X.entries, aligned)
+    # Ordered pairs (i, j) adjacent in A_X whose images are adjacent in A_D.
     common = np.count_nonzero(A_X.entries & aligned)
 
     mean_degree = float(A_X.degrees().mean())
     aprime_emp = float(A_D.degrees().mean())
     t1 = mean_degree + aprime_emp - 2.0 * common / n
 
-    a_n = ball_volume_theta(m.d) * n * r**m.d
+    a_n = average_degree(n, m.d, r)
     coeff = d_power(m.d, 1.0, m.p) * 2 ** (m.d + 1)
     t_degree = coeff * abs(mean_degree - a_n)
     t_L = coeff * abs(a_n - 2.0 * common / n)

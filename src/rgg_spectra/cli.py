@@ -22,7 +22,7 @@ import scipy
 from . import __version__
 from .bounds import check_matching_regime, check_tail_parameters, lemma1_degree_bound, lemma4_decomposition, lemma6_variance_bound, theorem1_rhs
 from .dgg import dgg_eigenvalues_closed_form, dgg_eigenvalues_dft, dgg_spec
-from .geometry import INFINITY, MetricSpec, PointSet, ball_volume_theta, sample_uniform
+from .geometry import INFINITY, MetricSpec, PointSet, average_degree, sample_uniform
 from .geometry import grid_points  # noqa: F401  perfbench wraps it here until ROADMAP item 5
 from .graph import build_adjacency, edge_list_text
 from .harness import (
@@ -35,7 +35,7 @@ from .harness import (
 )
 from .levy import levy_distance, levy_distance_oracle
 from .matching import bottleneck_matching  # noqa: F401  perfbench wraps it here until ROADMAP item 5
-from .spectra import Esd, _check_order, esd_from_eigenvalues, sym_eigenvalues
+from .spectra import Esd, _check_order, esd_eval, esd_from_eigenvalues, sym_eigenvalues
 
 CLOSED_FORM_REQUIRES_LINF = "CLOSED_FORM_REQUIRES_LINF"
 
@@ -164,7 +164,7 @@ def _svg_step_plot(esds: list[Esd], title: str) -> str:
         )
     for esd, color in zip(esds, ("#1f77b4", "#d62728")):
         atoms = np.unique(esd.eigenvalues)
-        cdf = np.searchsorted(esd.eigenvalues, atoms, side="right") / esd.n
+        cdf = esd_eval(esd, atoms)
         coords = [f"M {px(float(atoms[0])):.2f} {py(0.0):.2f}"]
         level = 0.0
         for x, y in zip(atoms, cdf):
@@ -229,6 +229,7 @@ def cmd_compare(opts: dict) -> int:
         result = figure1_experiment(n=opts["n"], d=opts["d"], seed=opts["seed"])
         _write_csv(out / "cdf_table.csv", ["x", "cdf_rgg", "cdf_dgg"], [result.x, result.cdf_rgg, result.cdf_dgg])
         esd_a, esd_b = result.esd_rgg, result.esd_dgg
+        title = f"empirical vs analytic CDF, n={result.n}"
         payload = {
             "n": result.n,
             "d": result.d,
@@ -239,14 +240,15 @@ def cmd_compare(opts: dict) -> int:
             "atom_minus1_frac": result.atom_minus1_frac,
             "levy": result.levy,
         }
-        if opts["plot"]:
-            _write_text(out / "cdf.svg", _svg_step_plot([esd_a, esd_b], f"empirical vs analytic CDF, n={result.n}"))
     else:
         table_a, table_b = _read_csv(opts["esd_a"]), _read_csv(opts["esd_b"])
         if table_a.shape[1] != 1 or table_b.shape[1] != 1:
             raise CliError(f"--esd-a/--esd-b need one eigenvalue column each, got {table_a.shape[1]} and {table_b.shape[1]}")
         esd_a, esd_b = esd_from_eigenvalues(table_a[:, 0]), esd_from_eigenvalues(table_b[:, 0])
+        title = "CDFs of --esd-a and --esd-b"
         payload = {"levy": levy_distance(esd_a, esd_b).distance}
+    if opts["plot"]:
+        _write_text(out / "cdf.svg", _svg_step_plot([esd_a, esd_b], title))
     payload["levy_cubed"] = payload["levy"] ** 3
     payload["trace_bound"] = None
     if opts["oracle"]:
@@ -277,7 +279,7 @@ def cmd_bounds(opts: dict) -> int:
     p_hat, stderr = probability_from_results(results, cfg.t, cfg.trials)
     m_n_max = max(result.m_n for result in results)
     n = cfg.n
-    a_n = ball_volume_theta(cfg.d) * n * r**cfg.d
+    a_n = average_degree(n, cfg.d, r)
 
     theorem1 = theorem1_rhs(cfg.t, n, cfg.d, cfg.p, r, a_n, m_n_max, cfg.a)
 
@@ -385,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--dgg", type=_parse_dgg, metavar="N,d,r")
     spec.add_argument("--method", choices=("eig", "closed", "dft"), required=True)
     spec.add_argument("--p", type=_parse_p, default=INFINITY)
-    spec.add_argument("--r", type=float)
+    spec.add_argument("--r", type=float, help="radius for --input (a --dgg lattice carries its own)")
     spec.add_argument("--plot", action="store_true")
 
     comp = sub.add_parser("compare", parents=[out], help="Levy distance between two spectra")
@@ -393,9 +395,9 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--fig1", action="store_true", help="connectivity-regime CDF comparison")
     mode.add_argument("--esd-a", dest="esd_a", help="first eigenvalue CSV")
     comp.add_argument("--esd-b", dest="esd_b", help="second eigenvalue CSV")
-    comp.add_argument("--n", type=int, default=2000)
-    comp.add_argument("--d", type=int, default=1)
-    comp.add_argument("--seed", type=int, default=1)
+    comp.add_argument("--n", type=int, help="--fig1 sample size (default 2000)")
+    comp.add_argument("--d", type=int, help="--fig1 dimension (default 1)")
+    comp.add_argument("--seed", type=int, help="--fig1 seed (default 1)")
     comp.add_argument("--oracle", action="store_true")
     comp.add_argument("--oracle-step", dest="oracle_step", type=float, default=1e-3)
     comp.add_argument("--plot", action="store_true")
@@ -420,8 +422,22 @@ def main(argv: list[str] | None = None) -> int:
     namespace = parser.parse_args(argv)
     opts = vars(namespace)
     command = opts.pop("command")
-    if command == "compare" and not opts.get("fig1") and opts.get("esd_b") is None:
-        parser.error("--esd-a needs --esd-b")
+    # Refuse the options that the chosen mode never reads, so that none is
+    # accepted, ignored and recorded in the manifest.
+    if command == "spectrum" and opts["dgg"] is not None and opts["r"] is not None:
+        parser.error("--r is read only with --input; a --dgg lattice carries its own radius")
+    if command == "compare":
+        fig1_defaults = {"n": 2000, "d": 1, "seed": 1}
+        if opts["fig1"]:
+            if opts["esd_b"] is not None:
+                parser.error("--esd-b needs --esd-a")
+            opts.update({key: value for key, value in fig1_defaults.items() if opts[key] is None})
+        elif opts["esd_b"] is None:
+            parser.error("--esd-a needs --esd-b")
+        else:
+            given = [key for key in fig1_defaults if opts.pop(key) is not None]
+            if given:
+                parser.error("--n, --d and --seed are read only with --fig1")
     try:
         return _commands()[command](opts)
     except CliError as exc:

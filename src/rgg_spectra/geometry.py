@@ -71,12 +71,6 @@ class PointSet:
         return self.coords.shape[0]
 
 
-def torus_coordinate_delta(a: float, b: float) -> float:
-    """Wrapped distance between two coordinates in [0,1): min(|a-b|, 1-|a-b|)."""
-    gap = abs(a - b)
-    return min(gap, 1.0 - gap)
-
-
 def _torus_distances(a: np.ndarray, b: np.ndarray, p: float) -> np.ndarray:
     """l_p torus distances between the rows of a (n_a, d) and b (n_b, d), shape (n_a, n_b).
 
@@ -147,6 +141,12 @@ def ball_volume_theta(d: int) -> float:
         return math.pi**m / math.factorial(m)
     k = (d - 1) // 2
     return math.pi**k * 4 ** (k + 1) * math.factorial(k + 1) / math.factorial(2 * k + 2)
+
+
+def average_degree(n: int, d: int, r: float) -> float:
+    """The average degree a_n = theta^(d) n r^d of n points at radius r, with
+    theta^(d) the unit l_2 ball volume for every metric."""
+    return ball_volume_theta(d) * n * r**d
 
 
 def sample_uniform(n: int, d: int, seed: int) -> PointSet:

@@ -1,4 +1,4 @@
-"""Adjacency matrices of geometric graphs on the torus, degrees, edge counts.
+"""Adjacency matrices of geometric graphs on the torus and their edge lists.
 
 Edges connect distinct points at torus l_p distance <= r (exact double
 comparison, no epsilon slack).  Matrices are dense symmetric 0/1 arrays with
@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import MAX_PAIRWISE_BYTES, MetricSpec, PointSet, _torus_distances, ball_volume_theta, torus_distance_matrix
+from .geometry import MAX_PAIRWISE_BYTES, MetricSpec, PointSet, _torus_distances
 
 
 @dataclass(frozen=True)
@@ -41,30 +41,6 @@ class AdjacencyMatrix:
         return self.entries.sum(axis=1, dtype=np.int64)
 
 
-@dataclass(frozen=True)
-class DegreeSummary:
-    """Degrees, edge count xi_n, and empirical vs theoretical average degree."""
-
-    degrees: np.ndarray = field(repr=False)
-    edge_count: int
-    average_degree_empirical: float
-    average_degree_theoretical: float
-
-
-def build_adjacency_reference(points: PointSet, r: float, m: MetricSpec) -> AdjacencyMatrix:
-    """O(n^2) all-pairs construction: the ground-truth edge rule.
-
-    Refused past geometry.MAX_PAIRWISE_BYTES, as torus_distance_matrix is.
-    """
-    if points.d != m.d:
-        raise ValueError("point set and metric disagree on dimension")
-    if not r > 0:
-        raise ValueError(f"radius must be positive, got {r}")
-    close = torus_distance_matrix(points, points, m) <= r
-    np.fill_diagonal(close, False)
-    return AdjacencyMatrix(entries=close.astype(np.uint8))
-
-
 # build_adjacency evaluates _BLOCK_BYTES // (8 * n * d) rows at a time, so each
 # block's per-axis (rows, n) arrays stay cache-sized; 256 KiB to 2 MiB measured
 # alike.
@@ -83,10 +59,9 @@ def _refuse_dense(n: int) -> None:
 def build_adjacency(points: PointSet, r: float, m: MetricSpec) -> AdjacencyMatrix:
     """Adjacency of the geometric graph: edge iff i != j and torus l_p distance <= r.
 
-    The reference's all-pairs rule on the same distance kernel, a block of
-    rows at a time, so the output is bit-identical to
-    build_adjacency_reference.  An n x n result past
-    geometry.MAX_PAIRWISE_BYTES is refused before allocating.
+    Every pair is evaluated on the shared distance kernel, a block of rows
+    at a time.  An n x n result past geometry.MAX_PAIRWISE_BYTES is refused
+    before allocating.
     """
     if points.d != m.d:
         raise ValueError("point set and metric disagree on dimension")
@@ -102,18 +77,6 @@ def build_adjacency(points: PointSet, r: float, m: MetricSpec) -> AdjacencyMatri
     return AdjacencyMatrix(entries=entries)
 
 
-def degree_summary(A: AdjacencyMatrix, n: int, d: int, r: float) -> DegreeSummary:
-    """Degrees, edge count, and empirical vs a_n = theta^(d) n r^d averages."""
-    degrees = A.degrees()
-    edge_count = int(degrees.sum()) // 2
-    return DegreeSummary(
-        degrees=degrees,
-        edge_count=edge_count,
-        average_degree_empirical=float(degrees.mean()),
-        average_degree_theoretical=ball_volume_theta(d) * n * r**d,
-    )
-
-
 def _check_permutation(matching: np.ndarray, n: int) -> np.ndarray:
     matching = np.asarray(matching, dtype=np.int64)
     if matching.shape != (n,) or not np.array_equal(np.sort(matching), np.arange(n)):
@@ -127,18 +90,6 @@ def _aligned(A: AdjacencyMatrix, matching: np.ndarray) -> np.ndarray:
     A row take, then a column take: no n x n index arrays as with np.ix_.
     """
     return A.entries[matching][:, matching]
-
-
-def cross_neighbor_count(A_sample: AdjacencyMatrix, A_grid: AdjacencyMatrix, matching: np.ndarray) -> np.ndarray:
-    """Per-node count of common neighbors under the alignment i -> matching[i].
-
-    Entry i is sum_j A_sample[i, j] * A_grid[matching[i], matching[j]].
-    """
-    n = A_sample.n
-    if A_grid.n != n:
-        raise ValueError(f"matrix orders differ: {n} vs {A_grid.n}")
-    aligned = _aligned(A_grid, _check_permutation(matching, n))
-    return np.count_nonzero(A_sample.entries & aligned, axis=1)
 
 
 def edge_list_text(A: AdjacencyMatrix) -> str:

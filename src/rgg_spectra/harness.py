@@ -25,11 +25,11 @@ import numpy as np
 
 from .dgg import dgg_band, dgg_eigenvalues_dft, dgg_spec
 from .dgg import dgg_eigenvalues_closed_form  # noqa: F401  perfbench wraps it here until ROADMAP item 5
-from .geometry import INFINITY, MetricSpec, PointSet, ball_volume_theta, grid_points, sample_uniform
+from .geometry import INFINITY, MetricSpec, PointSet, average_degree, grid_points, sample_uniform
 from .graph import AdjacencyMatrix, _aligned, _refuse_dense, build_adjacency
 from .levy import levy_distance, trace_bound
 from .matching import bottleneck_matching
-from .spectra import Esd, _check_order, esd_from_eigenvalues, sym_eigenvalues, twin_classes
+from .spectra import Esd, _check_order, esd_eval, esd_from_eigenvalues, sym_eigenvalues, twin_classes
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -51,12 +51,7 @@ def trial_seed(master_seed: int, trial_index: int) -> int:
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment: lattice side N, dimension d, metric p, radius r > 0,
-    tail threshold t, Chernoff parameter a, trial count, and master seed.
-
-    sample_from_grid is a test hook that replaces the random sample and its
-    graph by the grid and the lattice graph, so the Levy distance, trace
-    bound and matching cost vanish.
-    """
+    tail threshold t, Chernoff parameter a, trial count, and master seed."""
 
     N: int
     d: int
@@ -66,7 +61,6 @@ class ExperimentConfig:
     a: float = 2.0
     trials: int = 1
     seed: int = 0
-    sample_from_grid: bool = False
 
     def __post_init__(self) -> None:
         if not self.r > 0:
@@ -132,11 +126,8 @@ def run_trial(cfg: ExperimentConfig, trial_index: int) -> TrialResult:
     n, r, metric = cfg.n, cfg.r, cfg.metric
     esd_dgg = _dgg_esd(cfg.N, cfg.d, cfg.p, r)
     grid, A_D = lattice_graph(cfg.N, cfg.d, cfg.p, r)
-    if cfg.sample_from_grid:
-        sample, A_X = PointSet(d=cfg.d, coords=grid.coords, kind="sample"), A_D
-    else:
-        sample = sample_uniform(n, cfg.d, trial_seed(cfg.seed, trial_index))
-        A_X = build_adjacency(sample, r, metric)
+    sample = sample_uniform(n, cfg.d, trial_seed(cfg.seed, trial_index))
+    A_X = build_adjacency(sample, r, metric)
     esd_rgg = esd_from_eigenvalues(sym_eigenvalues(A_X))
     levy = levy_distance(esd_rgg, esd_dgg).distance
     bottleneck = bottleneck_matching(sample, grid, metric)
@@ -248,20 +239,15 @@ def figure1_experiment(n: int = 2000, d: int = 1, seed: int = 1) -> Figure1Resul
     esd_rgg = esd_from_eigenvalues(sym_eigenvalues(A))
 
     x = np.unique(np.concatenate([esd_rgg.eigenvalues, esd_dgg.eigenvalues]))
-    cdf_rgg = np.searchsorted(esd_rgg.eigenvalues, x, side="right") / esd_rgg.n
-    cdf_dgg = np.searchsorted(esd_dgg.eigenvalues, x, side="right") / esd_dgg.n
-    levy = levy_distance(esd_rgg, esd_dgg).distance
-
-    a_n_implied = ball_volume_theta(d) * n * r**d
     return Figure1Result(
         x=x,
-        cdf_rgg=cdf_rgg,
-        cdf_dgg=cdf_dgg,
-        levy=levy,
+        cdf_rgg=esd_eval(esd_rgg, x),
+        cdf_dgg=esd_eval(esd_dgg, x),
+        levy=levy_distance(esd_rgg, esd_dgg).distance,
         n=n,
         d=d,
         r=r,
-        a_n_implied=a_n_implied,
+        a_n_implied=average_degree(n, d, r),
         k=k,
         twin_frac=1.0 - twin_classes(A)[0].size / n,  # kept on A by sym_eigenvalues
         atom_minus1_frac=float(np.mean(np.abs(esd_rgg.eigenvalues + 1.0) <= ATOM_TOLERANCE)),

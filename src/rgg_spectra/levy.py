@@ -94,13 +94,13 @@ def levy_distance_oracle(F: Esd, G: Esd, grid_step: float = 1e-3) -> float:
 
 
 def trace_bound(A, B) -> float:
-    """(1/n) tr(A - B)^2 = (1/n) sum_ij (A_ij - B_ij)^2, the L^3 upper bound."""
+    """(1/n) tr(A - B)^2, the L^3 upper bound: for 0/1 entries, the exact count
+    of differing entries over n.  A and B are AdjacencyMatrix objects or square
+    uint8 arrays of 0/1 entries; anything else is refused."""
     Ma = A.entries if isinstance(A, AdjacencyMatrix) else np.asarray(A)
     Mb = B.entries if isinstance(B, AdjacencyMatrix) else np.asarray(B)
     if Ma.shape != Mb.shape or Ma.ndim != 2 or Ma.shape[0] != Ma.shape[1]:
         raise ValueError(f"matrix orders differ or are not square: {Ma.shape} vs {Mb.shape}")
-    if Ma.dtype == Mb.dtype == np.uint8 and Ma.max(initial=0) <= 1 and Mb.max(initial=0) <= 1:
-        # 0/1 entries: (A - B)^2 is 1 exactly where they differ; the count is exact.
-        return np.count_nonzero(Ma != Mb) / Ma.shape[0]
-    diff = Ma.astype(float) - Mb.astype(float)
-    return float((diff * diff).sum()) / Ma.shape[0]
+    if not (Ma.dtype == Mb.dtype == np.uint8 and Ma.max(initial=0) <= 1 and Mb.max(initial=0) <= 1):
+        raise ValueError("trace_bound needs uint8 matrices of 0/1 entries")
+    return np.count_nonzero(Ma != Mb) / Ma.shape[0]

@@ -81,6 +81,20 @@ def axis_reduction_distances(a: np.ndarray, b: np.ndarray, p: float) -> np.ndarr
     return (deltas**p).sum(axis=-1) ** (1.0 / p)
 
 
+def torus_coordinate_delta(a: float, b: float) -> float:
+    """Wrapped distance between two coordinates in [0,1): min(|a-b|, 1-|a-b|)."""
+    gap = abs(a - b)
+    return min(gap, 1.0 - gap)
+
+
+def build_adjacency_reference(points: PointSet, r: float, m: MetricSpec) -> AdjacencyMatrix:
+    """The edge rule distance <= r over all pairs of distinct points, on the
+    axis-reduction distance matrix rather than the package's kernel."""
+    close = axis_reduction_distances(points.coords, points.coords, m.p) <= r
+    np.fill_diagonal(close, False)
+    return AdjacencyMatrix(entries=close.astype(np.uint8))
+
+
 def levy_feasible(f: np.ndarray, g: np.ndarray, eps: float) -> bool:
     """Definition check at eps for sorted atom vectors f and g, atom by atom."""
     nf, ng = len(f), len(g)

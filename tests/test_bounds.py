@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from oracles import binomial_tail_oracle
+from oracles import binomial_tail_oracle, brute_cross_edge_count
 from rgg_spectra.bounds import (
     lemma1_degree_bound,
     lemma4_decomposition,
@@ -190,6 +190,20 @@ def test_decomposition_term_formulas():
     assert terms.t_degree == pytest.approx(coeff * abs(mean_deg - a_n), rel=1e-12)
     assert terms.t_aprime == pytest.approx(float(A_D.degrees().mean()), rel=1e-12)
     assert terms.eq1_total == pytest.approx(terms.t_degree + terms.t_L + terms.t_aprime, rel=1e-12)
+
+
+def test_decomposition_common_edges_match_brute_force():
+    # t1 = mean degree of A_X + mean degree of A_D - 2 (common ordered pairs) / n,
+    # and every common edge is two ordered pairs.
+    rng = np.random.default_rng(11)
+    for N, d, p, r in ((30, 1, INFINITY, 0.1), (6, 2, 2, 0.3), (4, 3, 1, 0.4)):
+        n, m = N**d, MetricSpec(d=d, p=p)
+        A_X, A_D = build_adjacency(sample_uniform(n, d, 3), r, m), build_adjacency(grid_points(N, d), r, m)
+        matching = rng.permutation(n)
+        common = brute_cross_edge_count(A_X.entries, A_D.entries, matching)
+        assert common > 0
+        expected = float(A_X.degrees().mean()) + float(A_D.degrees().mean()) - 2.0 * (2 * common) / n
+        assert lemma4_decomposition(A_X, A_D, matching, r, m).t1 == expected
 
 
 def test_decomposition_rejects_non_permutation():

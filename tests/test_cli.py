@@ -232,6 +232,63 @@ def test_compare_identical_files(tmp_path, capsys):
     assert abs(payload["oracle"] - payload["levy"]) <= 2e-3
 
 
+def _eigenvalue_files(tmp_path) -> tuple[Path, Path]:
+    for name, dgg in (("a", "8,1,0.25"), ("b", "8,1,0.4")):
+        assert _run(["spectrum", "--dgg", dgg, "--method", "closed", "--out", tmp_path / name]) == 0
+    return tmp_path / "a" / "eigenvalues.csv", tmp_path / "b" / "eigenvalues.csv"
+
+
+def test_compare_plots_in_file_mode(tmp_path):
+    esd_a, esd_b = _eigenvalue_files(tmp_path)
+    out = tmp_path / "cmp"
+    assert _run(["compare", "--esd-a", esd_a, "--esd-b", esd_b, "--plot", "--out", out]) == 0
+    svg = (out / "cdf.svg").read_text()
+    assert svg.startswith("<svg ") and svg.count("<path ") == 2
+    replayed = tmp_path / "replayed"
+    assert _run(["replay", "--manifest", out / "manifest.json", "--out", replayed]) == 0
+    assert (replayed / "cdf.svg").read_bytes() == (out / "cdf.svg").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["compare", "--esd-a", "a.csv", "--esd-b", "b.csv", "--n", 256], "read only with --fig1"),
+        (["compare", "--esd-a", "a.csv", "--esd-b", "b.csv", "--d", 1], "read only with --fig1"),
+        (["compare", "--esd-a", "a.csv", "--esd-b", "b.csv", "--seed", 1], "read only with --fig1"),
+        (["compare", "--fig1", "--esd-b", "b.csv"], "--esd-b needs --esd-a"),
+        (["spectrum", "--dgg", "8,1,0.25", "--r", 0.4, "--method", "closed"], "--r is read only with --input"),
+    ],
+    ids=["files-n", "files-d", "files-seed", "fig1-esd-b", "dgg-r"],
+)
+def test_options_a_mode_never_reads_are_refused(tmp_path, capsys, argv, message):
+    with pytest.raises(SystemExit) as excinfo:
+        _run(argv + ["--out", tmp_path / "out"])
+    assert excinfo.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_compare_manifests_record_only_the_options_their_mode_reads(tmp_path):
+    esd_a, esd_b = _eigenvalue_files(tmp_path)
+    assert _run(["compare", "--esd-a", esd_a, "--esd-b", esd_b, "--out", tmp_path / "files"]) == 0
+    args = json.loads((tmp_path / "files" / "manifest.json").read_text())["args"]
+    assert not {"n", "d", "seed"} & set(args)
+    assert _run(["compare", "--fig1", "--n", 256, "--out", tmp_path / "fig1"]) == 0
+    args = json.loads((tmp_path / "fig1" / "manifest.json").read_text())["args"]
+    assert (args["n"], args["d"], args["seed"]) == (256, 1, 1)
+
+
+def test_replay_reads_a_file_mode_manifest_that_records_fig1_options(tmp_path):
+    esd_a, esd_b = _eigenvalue_files(tmp_path)
+    out = tmp_path / "cmp"
+    assert _run(["compare", "--esd-a", esd_a, "--esd-b", esd_b, "--out", out]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["args"].update({"n": 2000, "d": 1, "seed": 1})
+    (out / "old.json").write_text(json.dumps(manifest))
+    assert _run(["replay", "--manifest", out / "old.json", "--out", tmp_path / "replayed"]) == 0
+    assert (tmp_path / "replayed" / "compare.json").read_bytes() == (out / "compare.json").read_bytes()
+
+
 def test_compare_requires_partner_file(tmp_path):
     with pytest.raises(SystemExit) as excinfo:
         _run(["compare", "--esd-a", "whatever.csv", "--out", tmp_path])
@@ -389,3 +446,31 @@ def test_unused_imports_are_perfbench_wrapping_points(monkeypatch):
                 unused |= {(path.stem, alias.asname or alias.name) for alias in node.names}
     assert unused, "no wrapping-point imports found"
     assert not unused - wrapped, f"imports kept only for perfbench that it does not wrap: {sorted(unused - wrapped)}"
+
+
+def _names_used(path: Path) -> set[str]:
+    """Names a module loads or looks up as attributes, each top-level
+    definition's own name excepted inside that definition."""
+    names = set()
+    for top in ast.parse(path.read_text()).body:
+        own = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+        names.discard(own)
+    return names
+
+
+def test_public_names_have_a_caller_outside_the_tests():
+    """Every rgg_spectra.__all__ name is used by another definition in the
+    package (outside __init__) or by perfbench's own code, so a route that
+    only the tests reach fails here.  The analytic helpers that users call
+    directly are the exceptions."""
+    package = [path for path in (ROOT / "src" / "rgg_spectra").glob("*.py") if path.name != "__init__.py"]
+    bench = [path for path in (ROOT / "perfbench").rglob("*.py") if "tests" not in path.relative_to(ROOT / "perfbench").parts]
+    used = set().union(*map(_names_used, package + bench))
+    direct = {"torus_distance", "dgg_degree", "bottleneck_rate_envelope"}
+    unused = sorted(set(rgg_spectra.__all__) - used - direct)
+    assert not unused, f"public names that only the tests reach: {unused}"

@@ -8,16 +8,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import axis_reduction_distances, gamma_ball_volume
+from oracles import axis_reduction_distances, gamma_ball_volume, torus_coordinate_delta
 from rgg_spectra import geometry
 from rgg_spectra.geometry import (
     INFINITY,
     MetricSpec,
     PointSet,
+    average_degree,
     ball_volume_theta,
     grid_points,
     sample_uniform,
-    torus_coordinate_delta,
     torus_distance,
     torus_distance_matrix,
 )
@@ -87,6 +87,11 @@ def test_ball_volume_matches_gamma_formula():
     assert ball_volume_theta(1) == 2.0
     assert ball_volume_theta(2) == pytest.approx(math.pi, rel=1e-15)
     assert ball_volume_theta(3) == pytest.approx(4.0 * math.pi / 3.0, rel=1e-15)
+
+
+def test_average_degree_matches_the_ball_volume_formula():
+    for n, d, r in ((100, 1, 0.1), (576, 2, 0.25), (512, 3, 0.2), (1000, 5, 0.3)):
+        assert average_degree(n, d, r) == pytest.approx(gamma_ball_volume(d) * n * r**d, rel=1e-13)
 
 
 def test_sample_uniform_deterministic_and_in_range():

@@ -20,7 +20,7 @@ from rgg_spectra.harness import (
     trial_seed,
 )
 from rgg_spectra.dgg import dgg_spec
-from rgg_spectra.geometry import INFINITY
+from rgg_spectra.geometry import INFINITY, PointSet, grid_points
 
 
 def test_trial_seed_is_the_splitmix_stream():
@@ -92,18 +92,34 @@ def test_lattice_spectrum_is_accurate_at_figure1_radii(N):
     assert np.max(np.abs(harness._dgg_esd(N, 1, INFINITY, r).eigenvalues - reference)) <= 1e-12
 
 
+@pytest.fixture
+def grid_as_sample(monkeypatch):
+    """Trials take the grid as their sample and the cached lattice graph as
+    its graph, so the Levy distance (up to rounding), the trace bound and the
+    matching cost vanish at every radius, ties included."""
+
+    def sample(n, d, seed):
+        return PointSet(d=d, coords=grid_points(round(n ** (1.0 / d)), d).coords, kind="sample")
+
+    def adjacency(points, r, m):
+        return harness.lattice_graph(round(points.n ** (1.0 / m.d)), m.d, m.p, r)[1]
+
+    monkeypatch.setattr(harness, "sample_uniform", sample)
+    monkeypatch.setattr(harness, "build_adjacency", adjacency)
+
+
 @pytest.mark.parametrize("N, r", [(8, 0.5), (9, 0.6)])
-def test_linf_trials_run_where_the_lattice_is_complete(N, r):
+def test_linf_trials_run_where_the_lattice_is_complete(grid_as_sample, N, r):
     # r >= ceil(N/2)/N gives 2k+1 > N, past the closed form's range; the
     # lattice is then the complete graph and its DFT spectrum is exact.
-    cfg = ExperimentConfig(N=N, d=1, p=INFINITY, r=r, sample_from_grid=True)
+    cfg = ExperimentConfig(N=N, d=1, p=INFINITY, r=r)
     result = run_trial(cfg, 0)
     assert result.trace_bound == 0.0 and result.m_n == 0.0
     assert result.levy_cubed <= 1e-27
 
 
-def test_run_trial_grid_sample_hook():
-    cfg = ExperimentConfig(N=8, d=1, p=INFINITY, r=0.2, seed=3, sample_from_grid=True)
+def test_run_trial_grid_sample_hook(grid_as_sample):
+    cfg = ExperimentConfig(N=8, d=1, p=INFINITY, r=0.2, seed=3)
     result = run_trial(cfg, 0)
     # DFT lattice eigenvalues differ from the dense solver's only in the
     # last float bits, so the distance is at most that discrepancy
@@ -112,21 +128,21 @@ def test_run_trial_grid_sample_hook():
     assert result.m_n == 0.0
 
 
-def test_run_trial_nonlinf_metric_uses_explicit_lattice_spectrum():
-    cfg = ExperimentConfig(N=4, d=2, p=2, r=0.3, seed=5, sample_from_grid=True)
+def test_run_trial_nonlinf_metric_uses_explicit_lattice_spectrum(grid_as_sample):
+    cfg = ExperimentConfig(N=4, d=2, p=2, r=0.3, seed=5)
     result = run_trial(cfg, 0)
     # DFT lattice eigenvalues differ from the dense solver's only in the
     # last float bits, so the distance is at most that discrepancy
     assert result.levy_cubed <= 1e-27
 
 
-def test_grid_sample_at_tie_radii_keeps_the_trace_bound():
+def test_grid_sample_at_tie_radii_keeps_the_trace_bound(grid_as_sample):
     # At r = k/N the lattice spectrum must be that of the A_D it is compared
     # against: with the grid as sample, A_X is A_D, so the trace bound is 0
     # and the Levy distance is rounding only.
     for N in range(3, 40):
         for k in range(1, (N - 1) // 2 + 1):
-            cfg = ExperimentConfig(N=N, d=1, p=INFINITY, r=k / N, sample_from_grid=True)
+            cfg = ExperimentConfig(N=N, d=1, p=INFINITY, r=k / N)
             result = run_trial(cfg, 0)
             assert result.trace_bound == 0.0 and result.m_n == 0.0, (N, k)
             assert result.levy_cubed <= result.trace_bound + 1e-27, (N, k)

@@ -99,9 +99,21 @@ def test_trace_bound_matches_brute_force():
         assert trace_bound(a, b) == pytest.approx(brute_trace_quadratic(a.entries, b.entries), rel=1e-12)
         # Raw 0/1 uint8 arrays, as the trial runner passes them: exact.
         assert trace_bound(a.entries, b.entries) == brute_trace_quadratic(a.entries, b.entries)
-    # uint8 entries other than 0/1 are squared, not counted.
-    big = np.array([[0, 2], [2, 0]], dtype=np.uint8)
-    assert trace_bound(big, np.zeros((2, 2), dtype=np.uint8)) == 4.0
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (np.array([[0.0, 1.0], [1.0, 0.0]]), np.zeros((2, 2))),
+        (np.eye(2, dtype=bool), np.zeros((2, 2), dtype=bool)),
+        (np.array([[0, 1], [1, 0]], dtype=np.uint8), np.zeros((2, 2), dtype=np.int64)),
+        (np.array([[0, 2], [2, 0]], dtype=np.uint8), np.zeros((2, 2), dtype=np.uint8)),
+    ],
+    ids=["float", "bool", "mixed-dtypes", "entry-2"],
+)
+def test_trace_bound_refuses_anything_but_0_1_entries(a, b):
+    with pytest.raises(ValueError, match="0/1"):
+        trace_bound(a, b)
 
 
 def test_trace_bound_unsigned_entry_regression():

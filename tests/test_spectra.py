@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from oracles import jacobi_eigenvalues, twin_classes_oracle
+from oracles import jacobi_eigenvalues, random_symmetric_01, twin_classes_oracle
 from rgg_spectra import spectra
 from rgg_spectra.geometry import INFINITY, MetricSpec, PointSet, grid_points, sample_uniform
 from rgg_spectra.graph import AdjacencyMatrix, build_adjacency
@@ -21,16 +21,17 @@ from rgg_spectra.spectra import (
 def test_two_by_two_closed_form():
     M = np.array([[1.0, 2.0], [2.0, -1.0]])
     expected = np.array([-np.sqrt(5.0), np.sqrt(5.0)])
-    assert np.allclose(sym_eigenvalues(M), expected, atol=1e-12)
     assert np.allclose(jacobi_eigenvalues(M), expected, atol=1e-12)
+    # The path on three vertices: -sqrt(2), 0, sqrt(2).
+    path = AdjacencyMatrix(entries=np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]]))
+    assert np.allclose(sym_eigenvalues(path), [-np.sqrt(2.0), 0.0, np.sqrt(2.0)], atol=1e-12)
 
 
 def test_jacobi_agrees_with_library_solver():
     rng = np.random.default_rng(17)
     for n in (1, 2, 5, 30):
-        base = rng.standard_normal((n, n))
-        M = (base + base.T) / 2.0
-        assert np.max(np.abs(jacobi_eigenvalues(M) - sym_eigenvalues(M))) <= 1e-10
+        A = AdjacencyMatrix(entries=random_symmetric_01(n, 0.4, rng))
+        assert np.max(np.abs(jacobi_eigenvalues(A) - sym_eigenvalues(A))) <= 1e-10
 
 
 def test_jacobi_on_adjacency_matrix():
@@ -103,9 +104,6 @@ def test_twin_quotient_agrees_with_jacobi():
 
 
 def test_order_ceiling_enforced(monkeypatch):
-    with pytest.raises(ValueError):
-        sym_eigenvalues(np.zeros((MAX_EIG_ORDER + 1, MAX_EIG_ORDER + 1)))
-
     def refuse(A):
         raise AssertionError("twin classes were searched before the order was checked")
 
@@ -116,9 +114,19 @@ def test_order_ceiling_enforced(monkeypatch):
 
 
 def test_symmetry_required():
-    M = np.array([[0.0, 1.0], [0.5, 0.0]])
-    with pytest.raises(ValueError):
-        sym_eigenvalues(M)
+    M = np.array([[0, 1], [0, 0]])
+    with pytest.raises(ValueError, match="symmetric"):
+        AdjacencyMatrix(entries=M)
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [np.array([[1.0, 2.0], [2.0, -1.0]]), np.zeros((2, 2), dtype=np.uint8), [[0, 1], [1, 0]]],
+    ids=["float", "uint8", "list"],
+)
+def test_only_adjacency_matrices_are_eigensolved(matrix):
+    with pytest.raises(TypeError, match="needs an AdjacencyMatrix"):
+        sym_eigenvalues(matrix)
 
 
 def test_esd_sorts_and_validates():
@@ -140,3 +148,11 @@ def test_esd_eval_right_continuous_step():
     assert esd_eval(esd, 4.999) == 0.75
     assert esd_eval(esd, 5.0) == 1.0
     assert esd_eval(esd, 100.0) == 1.0
+
+
+def test_esd_eval_on_an_array_is_pointwise():
+    esd = esd_from_eigenvalues(np.random.default_rng(19).integers(-3, 4, size=50).astype(float))
+    x = np.concatenate([np.unique(esd.eigenvalues), np.linspace(-4.0, 4.0, 33)])
+    values = esd_eval(esd, x)
+    assert values.shape == x.shape
+    assert values.tolist() == [esd_eval(esd, float(point)) for point in x]
