@@ -1,8 +1,9 @@
 """Command-line front end: generate, spectrum, compare, bounds, replay.
 
-Every command writes its outputs plus a manifest.json (config echo, seed,
-versions, timestamp) into --out; `replay --manifest <file> --out <dir>`
-reruns the recorded command and reproduces every data file byte-for-byte.
+Each data command returns its files; one runner writes them plus a
+manifest.json (config echo, seed, versions, timestamp) into --out once the
+command has succeeded.  `replay --manifest <file> --out <dir>` reruns the
+recorded command and reproduces every data file byte-for-byte.
 Data goes to files and standard output; diagnostics go to standard error.
 """
 
@@ -10,7 +11,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import json
+import os
 import platform
 import sys
 from datetime import datetime, timezone
@@ -48,20 +51,15 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def _write_text(path: Path, text: str) -> None:
-    with open(path, "w", newline="\n") as handle:
-        handle.write(text)
-
-
-def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
+def _csv_text(header: list[str], columns: list[np.ndarray]) -> str:
     lines = [",".join(header)]
     for row in zip(*columns):
         lines.append(",".join(_fmt(cell) for cell in row))
-    _write_text(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _json_text(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def _parse_p(text: str) -> float:
@@ -84,13 +82,7 @@ def _p_from_manifest(value) -> float:
     return INFINITY if value == "inf" else float(value)
 
 
-def _out_dir(opts: dict) -> Path:
-    out = Path(opts["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _write_manifest(out: Path, command: str, opts: dict) -> None:
+def _manifest_text(command: str, opts: dict) -> str:
     """manifest.json: every option but --out (p as "inf" or a number, input
     files as absolute paths, so that a replay from any directory reads them),
     plus versions."""
@@ -107,7 +99,7 @@ def _write_manifest(out: Path, command: str, opts: dict) -> None:
         },
         "created_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
     }
-    _write_json(out / "manifest.json", payload)
+    return _json_text(payload)
 
 
 def _read_csv(path: str) -> np.ndarray:
@@ -177,8 +169,7 @@ def _svg_step_plot(esds: list[Esd], title: str) -> str:
     return "\n".join(parts) + "\n"
 
 
-def cmd_generate(opts: dict) -> int:
-    out = _out_dir(opts)
+def cmd_generate(opts: dict) -> dict[str, str]:
     metric = MetricSpec(d=opts["d"], p=opts["p"])
     if opts.get("N") is not None:
         points, A = lattice_graph(opts["N"], opts["d"], opts["p"], opts["r"])
@@ -186,14 +177,13 @@ def cmd_generate(opts: dict) -> int:
         points = sample_uniform(opts["n"], opts["d"], opts["seed"])
         A = build_adjacency(points, opts["r"], metric)
     header = [f"x{i + 1}" for i in range(points.d)]
-    _write_csv(out / "points.csv", header, [points.coords[:, i] for i in range(points.d)])
-    _write_text(out / "edges.txt", edge_list_text(A))
-    _write_manifest(out, "generate", opts)
-    return 0
+    return {
+        "points.csv": _csv_text(header, [points.coords[:, i] for i in range(points.d)]),
+        "edges.txt": edge_list_text(A),
+    }
 
 
-def cmd_spectrum(opts: dict) -> int:
-    out = _out_dir(opts)
+def cmd_spectrum(opts: dict) -> dict[str, str]:
     method = opts["method"]
     if opts.get("dgg") is not None:
         N, d, r = opts["dgg"]
@@ -216,18 +206,17 @@ def cmd_spectrum(opts: dict) -> int:
         _check_order(points.n)
         metric = MetricSpec(d=points.d, p=opts["p"])
         values = sym_eigenvalues(build_adjacency(points, opts["r"], metric))
-    _write_csv(out / "eigenvalues.csv", ["eigenvalue"], [values])
+    files = {"eigenvalues.csv": _csv_text(["eigenvalue"], [values])}
     if opts["plot"]:
-        _write_text(out / "cdf.svg", _svg_step_plot([esd_from_eigenvalues(values)], "spectral CDF"))
-    _write_manifest(out, "spectrum", opts)
-    return 0
+        files["cdf.svg"] = _svg_step_plot([esd_from_eigenvalues(values)], "spectral CDF")
+    return files
 
 
-def cmd_compare(opts: dict) -> int:
-    out = _out_dir(opts)
+def cmd_compare(opts: dict) -> dict[str, str]:
+    files = {}
     if opts.get("fig1"):
         result = figure1_experiment(n=opts["n"], d=opts["d"], seed=opts["seed"])
-        _write_csv(out / "cdf_table.csv", ["x", "cdf_rgg", "cdf_dgg"], [result.x, result.cdf_rgg, result.cdf_dgg])
+        files["cdf_table.csv"] = _csv_text(["x", "cdf_rgg", "cdf_dgg"], [result.x, result.cdf_rgg, result.cdf_dgg])
         esd_a, esd_b = result.esd_rgg, result.esd_dgg
         title = f"empirical vs analytic CDF, n={result.n}"
         payload = {
@@ -248,32 +237,21 @@ def cmd_compare(opts: dict) -> int:
         title = "CDFs of --esd-a and --esd-b"
         payload = {"levy": levy_distance(esd_a, esd_b).distance}
     if opts["plot"]:
-        _write_text(out / "cdf.svg", _svg_step_plot([esd_a, esd_b], title))
+        files["cdf.svg"] = _svg_step_plot([esd_a, esd_b], title)
     payload["levy_cubed"] = payload["levy"] ** 3
     payload["trace_bound"] = None
     if opts["oracle"]:
         payload["oracle"] = levy_distance_oracle(esd_a, esd_b, opts["oracle_step"])
-    _write_json(out / "compare.json", payload)
+    files["compare.json"] = _json_text(payload)
     print(f"levy = {_fmt(payload['levy'])}")
     print(f"levy_cubed = {_fmt(payload['levy_cubed'])}")
     print("trace_bound = none")
-    _write_manifest(out, "compare", opts)
-    return 0
+    return files
 
 
-def cmd_bounds(opts: dict) -> int:
-    cfg = ExperimentConfig(
-        N=opts["N"],
-        d=opts["d"],
-        p=opts["p"],
-        r=opts["r"],
-        t=opts["t"],
-        a=opts["a"],
-        trials=opts["trials"],
-        seed=opts["seed"],
-    )
+def cmd_bounds(opts: dict) -> dict[str, str]:
+    cfg = ExperimentConfig(**{field.name: opts[field.name] for field in dataclasses.fields(ExperimentConfig)})
     check_tail_parameters(cfg.t, cfg.a)
-    out = _out_dir(opts)
     r = cfg.r
     results = run_trials(cfg, cfg.trials, check=lambda result: check_matching_regime(r, result.m_n))
     p_hat, stderr = probability_from_results(results, cfg.t, cfg.trials)
@@ -309,49 +287,58 @@ def cmd_bounds(opts: dict) -> int:
             "a_n": a_n,
         },
     }
-    _write_json(out / "bounds.json", payload)
-    _write_csv(
-        out / "trials.csv",
-        ["trial", "levy_cubed", "trace_bound", "m_n", "xi_n"],
-        [
-            np.arange(cfg.trials, dtype=float),
-            np.array([result.levy_cubed for result in results]),
-            np.array([result.trace_bound for result in results]),
-            np.array([result.m_n for result in results]),
-            np.array([float(result.xi_n) for result in results]),
-        ],
-    )
+    rows = [[i, result.levy_cubed, result.trace_bound, result.m_n, result.xi_n] for i, result in enumerate(results)]
     print(f"p_hat = {_fmt(p_hat)}")
     print(f"stderr = {_fmt(stderr)}")
     print(f"total = {_fmt(min(theorem1.total, 1.0))}")
-    _write_manifest(out, "bounds", opts)
-    return 0
-
-
-def cmd_replay(opts: dict) -> int:
-    with open(opts["manifest"]) as handle:
-        manifest = json.load(handle)
-    command = manifest["command"]
-    args = dict(manifest["args"])
-    if "p" in args and args["p"] is not None:
-        args["p"] = _p_from_manifest(args["p"])
-    args["out"] = opts["out"]
-    commands = _commands()
-    if command not in commands or command == "replay":
-        raise CliError(f"manifest names unknown command {command!r}")
-    return commands[command](args)
+    return {
+        "bounds.json": _json_text(payload),
+        "trials.csv": _csv_text(["trial", "levy_cubed", "trace_bound", "m_n", "xi_n"], np.array(rows, dtype=float).T),
+    }
 
 
 def _commands() -> dict:
-    """Every subcommand by name.  Built on each call, so that a wrapper set on
-    one of this module's cmd_* attributes (perfbench traces cmd_bounds) runs."""
+    """Every data command by name.  Built on each call, so that a wrapper set
+    on one of this module's cmd_* attributes (perfbench traces cmd_bounds) runs."""
     return {
         "generate": cmd_generate,
         "spectrum": cmd_spectrum,
         "compare": cmd_compare,
         "bounds": cmd_bounds,
-        "replay": cmd_replay,
     }
+
+
+def _read_manifest(opts: dict) -> tuple[str, dict]:
+    """The command and options that --manifest records, with this call's --out."""
+    with open(opts["manifest"]) as handle:
+        manifest = json.load(handle)
+    command = manifest["command"]
+    if command not in _commands():
+        raise CliError(f"manifest names unknown command {command!r}")
+    args = dict(manifest["args"], out=opts["out"])
+    if args.get("p") is not None:
+        args["p"] = _p_from_manifest(args["p"])
+    return command, args
+
+
+def _run(command: str, opts: dict) -> int:
+    """Run one data command, or the one a replayed manifest records, then
+    write its files and manifest.json into --out: a failed command leaves
+    --out as it was, and an --out that mkdir would refuse fails before any work."""
+    if command == "replay":
+        command, opts = _read_manifest(opts)
+    out = Path(opts["out"])
+    existing = next(path for path in (out, *out.parents) if path.exists())
+    if not existing.is_dir():
+        code = errno.EEXIST if existing == out else errno.ENOTDIR
+        raise OSError(code, os.strerror(code), str(out))
+    files = _commands()[command](opts)
+    files["manifest.json"] = _manifest_text(command, opts)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        with open(out / name, "w", newline="\n") as handle:
+            handle.write(text)
+    return 0
 
 
 def _parse_dgg(text: str) -> tuple[int, int, float]:
@@ -399,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     comp.add_argument("--d", type=int, help="--fig1 dimension (default 1)")
     comp.add_argument("--seed", type=int, help="--fig1 seed (default 1)")
     comp.add_argument("--oracle", action="store_true")
-    comp.add_argument("--oracle-step", dest="oracle_step", type=float, default=1e-3)
+    comp.add_argument("--oracle-step", dest="oracle_step", type=float, help="--oracle grid step (default 1e-3)")
     comp.add_argument("--plot", action="store_true")
 
     bnd = sub.add_parser("bounds", parents=[out], help="tail-bound report plus Monte Carlo estimate")
@@ -438,8 +425,15 @@ def main(argv: list[str] | None = None) -> int:
             given = [key for key in fig1_defaults if opts.pop(key) is not None]
             if given:
                 parser.error("--n, --d and --seed are read only with --fig1")
+        step = opts.pop("oracle_step")
+        if step is not None and not opts["oracle"]:
+            parser.error("--oracle-step is read only with --oracle")
+        if step is not None and not step > 0:
+            parser.error(f"--oracle-step must be positive, got {step}")
+        if opts["oracle"]:
+            opts["oracle_step"] = 1e-3 if step is None else step
     try:
-        return _commands()[command](opts)
+        return _run(command, opts)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -23,10 +23,9 @@ GRID = "grid"
 _MAX_GRID_POINTS = 1 << 26
 
 # All-pairs distance requests are refused before allocating when n_a * n_b * d
-# float64 values pass this many bytes, the size of the full array of wrapped
-# deltas.  The per-axis kernel never builds that array; it holds up to three
-# (n_a, n_b) float64 arrays at once.  The measure is kept so that the same
-# inputs are refused as before.
+# float64 values pass this many bytes.  The measure is the byte size of the
+# full (n_a, n_b, d) array of wrapped deltas, which the per-axis kernel never
+# builds; it holds up to three (n_a, n_b) float64 arrays at once.
 MAX_PAIRWISE_BYTES = 1 << 30
 
 

@@ -257,8 +257,12 @@ def test_compare_plots_in_file_mode(tmp_path):
         (["compare", "--esd-a", "a.csv", "--esd-b", "b.csv", "--seed", 1], "read only with --fig1"),
         (["compare", "--fig1", "--esd-b", "b.csv"], "--esd-b needs --esd-a"),
         (["spectrum", "--dgg", "8,1,0.25", "--r", 0.4, "--method", "closed"], "--r is read only with --input"),
+        (["compare", "--esd-a", "a.csv", "--esd-b", "b.csv", "--oracle-step", 0.01], "--oracle-step is read only with --oracle"),
+        (["compare", "--fig1", "--oracle", "--oracle-step", 0], "--oracle-step must be positive, got 0.0"),
+        (["compare", "--fig1", "--oracle", "--oracle-step", -1], "--oracle-step must be positive, got -1.0"),
+        (["compare", "--fig1", "--oracle", "--oracle-step", "nan"], "--oracle-step must be positive, got nan"),
     ],
-    ids=["files-n", "files-d", "files-seed", "fig1-esd-b", "dgg-r"],
+    ids=["files-n", "files-d", "files-seed", "fig1-esd-b", "dgg-r", "step-without-oracle", "step-zero", "step-negative", "step-nan"],
 )
 def test_options_a_mode_never_reads_are_refused(tmp_path, capsys, argv, message):
     with pytest.raises(SystemExit) as excinfo:
@@ -272,7 +276,10 @@ def test_compare_manifests_record_only_the_options_their_mode_reads(tmp_path):
     esd_a, esd_b = _eigenvalue_files(tmp_path)
     assert _run(["compare", "--esd-a", esd_a, "--esd-b", esd_b, "--out", tmp_path / "files"]) == 0
     args = json.loads((tmp_path / "files" / "manifest.json").read_text())["args"]
-    assert not {"n", "d", "seed"} & set(args)
+    assert not {"n", "d", "seed", "oracle_step"} & set(args)
+    for extra, step in ((["--oracle"], 1e-3), (["--oracle", "--oracle-step", 0.01], 0.01)):
+        assert _run(["compare", "--esd-a", esd_a, "--esd-b", esd_b, *extra, "--out", tmp_path / "oracle"]) == 0
+        assert json.loads((tmp_path / "oracle" / "manifest.json").read_text())["args"]["oracle_step"] == step
     assert _run(["compare", "--fig1", "--n", 256, "--out", tmp_path / "fig1"]) == 0
     args = json.loads((tmp_path / "fig1" / "manifest.json").read_text())["args"]
     assert (args["n"], args["d"], args["seed"]) == (256, 1, 1)
@@ -283,7 +290,7 @@ def test_replay_reads_a_file_mode_manifest_that_records_fig1_options(tmp_path):
     out = tmp_path / "cmp"
     assert _run(["compare", "--esd-a", esd_a, "--esd-b", esd_b, "--out", out]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    manifest["args"].update({"n": 2000, "d": 1, "seed": 1})
+    manifest["args"].update({"n": 2000, "d": 1, "seed": 1, "oracle_step": 1e-3})
     (out / "old.json").write_text(json.dumps(manifest))
     assert _run(["replay", "--manifest", out / "old.json", "--out", tmp_path / "replayed"]) == 0
     assert (tmp_path / "replayed" / "compare.json").read_bytes() == (out / "compare.json").read_bytes()
@@ -390,6 +397,77 @@ def test_replay_refuses_a_manifest_naming_no_data_command(tmp_path, capsys, comm
     assert f"unknown command {command!r}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["spectrum", "--dgg", "8,1,0.3", "--method", "closed", "--p", 2], 2),
+        (["generate", "--n", 40000, "--d", 1, "--r", 0.01], 1),
+        (["compare", "--esd-a", "bad.csv", "--esd-b", "bad.csv"], 2),
+        (["bounds", "--N", 8, "--d", 1, "--r", 0.2, "--t", 10, "--trials", 3], 1),
+    ],
+    ids=["closed-p2", "generate-past-byte-budget", "compare-parse-error", "bounds-out-of-regime"],
+)
+def test_a_failed_command_leaves_a_new_out_absent(tmp_path, argv, code):
+    (tmp_path / "bad.csv").write_text("eigenvalue\n0.5\noops\n")
+    argv = [tmp_path / arg if arg == "bad.csv" else arg for arg in argv]
+    assert _run(argv + ["--out", tmp_path / "new" / "out"]) == code
+    assert not (tmp_path / "new").exists()
+
+
+def test_a_failed_compare_leaves_out_as_it_was(tmp_path, capsys, monkeypatch):
+    old, new = tmp_path / "fig1", tmp_path / "new"
+    argv = ["compare", "--fig1", "--n", 256, "--plot", "--oracle"]
+    assert _run(argv + ["--seed", 1, "--out", old]) == 0
+    before = {path.name: path.read_bytes() for path in old.iterdir()}
+
+    def fail(*args):
+        raise ValueError("the oracle failed")
+
+    monkeypatch.setattr(cli, "levy_distance_oracle", fail)
+    for out in (old, new):
+        assert _run(argv + ["--seed", 2, "--out", out]) == 1
+        assert "error: the oracle failed" in capsys.readouterr().err
+    assert {path.name: path.read_bytes() for path in old.iterdir()} == before
+    assert not new.exists()
+
+
+def test_a_failed_replay_writes_nothing(tmp_path, capsys):
+    esd_a, esd_b = _eigenvalue_files(tmp_path)
+    out = tmp_path / "cmp"
+    assert _run(["compare", "--esd-a", esd_a, "--esd-b", esd_b, "--plot", "--out", out]) == 0
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    esd_a.write_text("eigenvalue\noops\n")
+    for replayed in (out, tmp_path / "replayed"):
+        assert _run(["replay", "--manifest", out / "manifest.json", "--out", replayed]) == 2
+        assert f"parse error at {esd_a}:2" in capsys.readouterr().err
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+    assert not (tmp_path / "replayed").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--n", 40, "--d", 2, "--r", 0.3],
+        ["generate", "--N", 5, "--d", 2, "--r", 0.3],
+        ["compare", "--fig1", "--n", 256],
+        ["bounds", "--N", 16, "--d", 1, "--r", 0.499, "--t", 1000, "--trials", 3],
+    ],
+    ids=["generate-sample", "generate-grid", "fig1", "bounds"],
+)
+def test_an_out_that_mkdir_refuses_fails_before_any_work(tmp_path, capsys, monkeypatch, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work ran before --out was checked")
+
+    for module, name in ((cli, "sample_uniform"), (cli, "lattice_graph"), (cli, "figure1_experiment"), (harness, "run_trial")):
+        monkeypatch.setattr(module, name, refuse)
+    file = tmp_path / "file"
+    file.write_text("kept\n")
+    for out, message in ((file, f"File exists: '{file}'"), (file / "sub", f"Not a directory: '{file / 'sub'}'")):
+        assert _run(argv + ["--out", out]) == 1
+        assert message in capsys.readouterr().err
+    assert file.read_text() == "kept\n"
+
+
 def test_readme_cli_block_parses():
     block = README.read_text().split("## CLI", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
     lines = [line for line in block.splitlines() if line.startswith("rgg-spectra ")]
@@ -446,6 +524,31 @@ def test_unused_imports_are_perfbench_wrapping_points(monkeypatch):
                 unused |= {(path.stem, alias.asname or alias.name) for alias in node.names}
     assert unused, "no wrapping-point imports found"
     assert not unused - wrapped, f"imports kept only for perfbench that it does not wrap: {sorted(unused - wrapped)}"
+
+
+def _opens_for_writing(call: ast.Call) -> bool:
+    """A call to mkdir, makedirs, write_text, write_bytes, or an open() whose
+    mode is not a read-only constant."""
+    func = call.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    if name != "open":
+        return name in {"mkdir", "makedirs", "write_text", "write_bytes"}
+    index = 0 if isinstance(func, ast.Attribute) else 1
+    mode = next((kw.value for kw in call.keywords if kw.arg == "mode"), call.args[index] if len(call.args) > index else None)
+    return mode is not None and not (isinstance(mode, ast.Constant) and set(str(mode.value)) <= set("rbt"))
+
+
+def test_only_the_runner_writes_files():
+    """No function in cli.py but the runner `_run` creates a directory or
+    opens a file for writing, so no command writes into --out as it goes."""
+    tree = ast.parse((ROOT / "src" / "rgg_spectra" / "cli.py").read_text())
+    writers = {
+        getattr(top, "name", "<module>")
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and _opens_for_writing(node)
+    }
+    assert writers == {"_run"}
 
 
 def _names_used(path: Path) -> set[str]:
