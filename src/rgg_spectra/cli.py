@@ -184,7 +184,7 @@ def cmd_generate(opts: dict) -> dict[str, str]:
 
 
 def cmd_spectrum(opts: dict) -> dict[str, str]:
-    method = opts["method"]
+    method, plot = opts["method"], opts["plot"]
     if opts.get("dgg") is not None:
         N, d, r = opts["dgg"]
         if method == "closed":
@@ -207,12 +207,13 @@ def cmd_spectrum(opts: dict) -> dict[str, str]:
         metric = MetricSpec(d=points.d, p=opts["p"])
         values = sym_eigenvalues(build_adjacency(points, opts["r"], metric))
     files = {"eigenvalues.csv": _csv_text(["eigenvalue"], [values])}
-    if opts["plot"]:
+    if plot:
         files["cdf.svg"] = _svg_step_plot([esd_from_eigenvalues(values)], "spectral CDF")
     return files
 
 
 def cmd_compare(opts: dict) -> dict[str, str]:
+    plot, oracle_step = opts["plot"], opts["oracle_step"] if opts["oracle"] else None
     files = {}
     if opts.get("fig1"):
         result = figure1_experiment(n=opts["n"], d=opts["d"], seed=opts["seed"])
@@ -236,12 +237,12 @@ def cmd_compare(opts: dict) -> dict[str, str]:
         esd_a, esd_b = esd_from_eigenvalues(table_a[:, 0]), esd_from_eigenvalues(table_b[:, 0])
         title = "CDFs of --esd-a and --esd-b"
         payload = {"levy": levy_distance(esd_a, esd_b).distance}
-    if opts["plot"]:
+    if plot:
         files["cdf.svg"] = _svg_step_plot([esd_a, esd_b], title)
     payload["levy_cubed"] = payload["levy"] ** 3
     payload["trace_bound"] = None
-    if opts["oracle"]:
-        payload["oracle"] = levy_distance_oracle(esd_a, esd_b, opts["oracle_step"])
+    if oracle_step is not None:
+        payload["oracle"] = levy_distance_oracle(esd_a, esd_b, oracle_step)
     files["compare.json"] = _json_text(payload)
     print(f"levy = {_fmt(payload['levy'])}")
     print(f"levy_cubed = {_fmt(payload['levy_cubed'])}")
@@ -308,14 +309,26 @@ def _commands() -> dict:
     }
 
 
+class _RecordedOptions(dict):
+    """The options of a replayed manifest: reading one it lacks is refused.
+    Each command reads its options before its costly work, so that the
+    refusal comes first."""
+
+    def __missing__(self, key):
+        raise CliError(f"manifest lacks the option {key!r}")
+
+
 def _read_manifest(opts: dict) -> tuple[str, dict]:
     """The command and options that --manifest records, with this call's --out."""
     with open(opts["manifest"]) as handle:
         manifest = json.load(handle)
+    for key in ("command", "args"):
+        if key not in manifest:
+            raise CliError(f"manifest lacks {key!r}")
     command = manifest["command"]
     if command not in _commands():
         raise CliError(f"manifest names unknown command {command!r}")
-    args = dict(manifest["args"], out=opts["out"])
+    args = _RecordedOptions(manifest["args"], out=opts["out"])
     if args.get("p") is not None:
         args["p"] = _p_from_manifest(args["p"])
     return command, args

@@ -24,9 +24,14 @@ _MAX_GRID_POINTS = 1 << 26
 
 # All-pairs distance requests are refused before allocating when n_a * n_b * d
 # float64 values pass this many bytes.  The measure is the byte size of the
-# full (n_a, n_b, d) array of wrapped deltas, which the per-axis kernel never
-# builds; it holds up to three (n_a, n_b) float64 arrays at once.
+# full (n_a, n_b, d) array of wrapped deltas, which the kernel never builds:
+# it holds the (n_a, n_b) result plus three float64 arrays of one row block.
 MAX_PAIRWISE_BYTES = 1 << 30
+
+# The all-pairs kernel runs _BLOCK_BYTES // (8 * n_b * d) rows at a time, so
+# each block's per-axis (rows, n_b) arrays stay cache-sized; 256 KiB to 2 MiB
+# measured alike.
+_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -77,9 +82,9 @@ def _torus_distances(a: np.ndarray, b: np.ndarray, p: float) -> np.ndarray:
     (n_a, n_b) result (np.maximum for l_inf, in-place += of |delta|, delta^2
     or delta^p otherwise), and the root is taken once at the end.  The
     accumulation runs in axis order, which matches numpy's sum over a short
-    last axis bit for bit up to d = 7.  torus_distance,
-    torus_distance_matrix and the row blocks of build_adjacency in graph.py
-    all call this, so they produce identical doubles.
+    last axis bit for bit up to d = 7.  torus_distance and, through
+    _all_pairs, torus_distance_matrix and build_adjacency in graph.py all
+    call this, so they produce identical doubles.
     """
     total = None
     wrapped = np.empty((len(a), len(b)))
@@ -105,6 +110,27 @@ def _torus_distances(a: np.ndarray, b: np.ndarray, p: float) -> np.ndarray:
     return total ** (1.0 / p)
 
 
+def _all_pairs(a: np.ndarray, b: np.ndarray, p: float, r: float | None = None) -> np.ndarray:
+    """_torus_distances(a, b, p), or its mask <= r when r is given, evaluated a
+    block of rows of a at a time.
+
+    When one block covers every row, the kernel's result is returned as it
+    is, with no copy into a separate result array.
+    """
+    rows = max(1, _BLOCK_BYTES // (8 * max(1, len(b)) * a.shape[1]))
+
+    def block(start: int) -> np.ndarray:
+        D = _torus_distances(a[start : start + rows], b, p)
+        return D if r is None else D <= r
+
+    if rows >= len(a):
+        return block(0)
+    result = np.empty((len(a), len(b)), dtype=float if r is None else bool)
+    for start in range(0, len(a), rows):
+        result[start : start + rows] = block(start)
+    return result
+
+
 def torus_distance(x, y, m: MetricSpec) -> float:
     """l_p distance on the torus between coordinate vectors x and y."""
     x = np.asarray(x, dtype=float)
@@ -124,7 +150,7 @@ def torus_distance_matrix(a: PointSet, b: PointSet, m: MetricSpec) -> np.ndarray
             f"all-pairs distances for {a.n} x {b.n} points in d = {m.d} need {size} bytes, "
             f"past the limit MAX_PAIRWISE_BYTES = {MAX_PAIRWISE_BYTES}"
         )
-    return _torus_distances(a.coords, b.coords, m.p)
+    return _all_pairs(a.coords, b.coords, m.p)
 
 
 def ball_volume_theta(d: int) -> float:

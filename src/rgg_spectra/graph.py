@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import MAX_PAIRWISE_BYTES, MetricSpec, PointSet, _torus_distances
+from .geometry import MAX_PAIRWISE_BYTES, MetricSpec, PointSet, _all_pairs
 
 
 @dataclass(frozen=True)
@@ -41,12 +41,6 @@ class AdjacencyMatrix:
         return self.entries.sum(axis=1, dtype=np.int64)
 
 
-# build_adjacency evaluates _BLOCK_BYTES // (8 * n * d) rows at a time, so each
-# block's per-axis (rows, n) arrays stay cache-sized; 256 KiB to 2 MiB measured
-# alike.
-_BLOCK_BYTES = 1 << 20
-
-
 def _refuse_dense(n: int) -> None:
     """Refuse an n x n uint8 adjacency past geometry.MAX_PAIRWISE_BYTES."""
     if n * n > MAX_PAIRWISE_BYTES:
@@ -67,12 +61,8 @@ def build_adjacency(points: PointSet, r: float, m: MetricSpec) -> AdjacencyMatri
         raise ValueError("point set and metric disagree on dimension")
     if not r > 0:
         raise ValueError(f"radius must be positive, got {r}")
-    n, coords = points.n, points.coords
-    _refuse_dense(n)
-    rows = max(1, _BLOCK_BYTES // (n * m.d * 8))
-    entries = np.empty((n, n), dtype=np.uint8)
-    for start in range(0, n, rows):
-        entries[start : start + rows] = _torus_distances(coords[start : start + rows], coords, m.p) <= r
+    _refuse_dense(points.n)
+    entries = _all_pairs(points.coords, points.coords, m.p, r).view(np.uint8)
     np.fill_diagonal(entries, 0)
     return AdjacencyMatrix(entries=entries)
 

@@ -47,8 +47,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .geometry import MetricSpec, PointSet, torus_distance_matrix
 
@@ -59,6 +57,17 @@ class BottleneckResult:
 
     m_n: float
     assignment: np.ndarray = field(repr=False)
+
+
+def maximum_bipartite_matching(graph, perm_type):
+    """scipy's Hopcroft-Karp on a CSR graph, the one call of every probe.
+
+    scipy.sparse is imported here, on the first probe, so that importing the
+    package, Figure 1 and the d = 1 trials that need no probe never load it.
+    """
+    from scipy.sparse.csgraph import maximum_bipartite_matching as hopcroft_karp
+
+    return hopcroft_karp(graph, perm_type=perm_type)
 
 
 @dataclass(frozen=True)
@@ -78,6 +87,8 @@ class _Candidates:
 
     def full_matching(self, threshold: float) -> np.ndarray | None:
         """A perfect row->column matching using only pairs within threshold, or None."""
+        from scipy.sparse import csr_matrix  # on the first probe, like scipy's Hopcroft-Karp
+
         keep = self.dist <= threshold
         indptr = np.zeros(self.n + 1, dtype=np.int32)
         np.cumsum(np.bincount(self.rows[keep], minlength=self.n), out=indptr[1:])

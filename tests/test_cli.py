@@ -389,12 +389,23 @@ def test_invalid_metric_exponent_is_usage_error(tmp_path):
     assert excinfo.value.code == 2
 
 
-@pytest.mark.parametrize("command", ["replay", "plot"])
-def test_replay_refuses_a_manifest_naming_no_data_command(tmp_path, capsys, command):
+@pytest.mark.parametrize(
+    "recorded, error",
+    [
+        ({"command": "replay", "args": {"manifest": "m.json"}}, "manifest names unknown command 'replay'"),
+        ({"command": "plot", "args": {"manifest": "m.json"}}, "manifest names unknown command 'plot'"),
+        ({"args": {}}, "manifest lacks 'command'"),
+        ({"command": "bounds", "args": {"N": 8}}, "manifest lacks the option 'd'"),
+    ],
+    ids=["replay", "plot", "no-command", "bounds-without-d"],
+)
+def test_replay_refuses_a_manifest_naming_no_data_command(tmp_path, capsys, monkeypatch, recorded, error):
     manifest = tmp_path / "manifest.json"
-    manifest.write_text(json.dumps({"command": command, "args": {"manifest": str(manifest)}}))
+    manifest.write_text(json.dumps(recorded))
+    monkeypatch.setattr(cli, "run_trials", None)  # a bounds replay must stop before any trial
     assert _run(["replay", "--manifest", manifest, "--out", tmp_path / "out"]) == 2
-    assert f"unknown command {command!r}" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(

@@ -72,6 +72,15 @@ def test_per_axis_kernel_matches_the_axis_reduction(d, p):
     assert torus_distance(a.coords[3], b.coords[7], m) == D[3, 7]
 
 
+@pytest.mark.parametrize("p", [1, 2, 3.5, INFINITY], ids=["p1", "p2", "p3.5", "pinf"])
+def test_distance_matrix_row_blocks_match_the_axis_reduction(p):
+    # Three and a fraction row blocks of the kernel, against 300 columns.
+    rows = geometry._BLOCK_BYTES // (8 * 300 * 2)
+    a, b = sample_uniform(3 * rows + 50, 2, 31), sample_uniform(300, 2, 32)
+    D = torus_distance_matrix(a, b, MetricSpec(d=2, p=p))
+    assert np.array_equal(D, axis_reduction_distances(a.coords, b.coords, p))
+
+
 def test_metric_spec_validation():
     with pytest.raises(ValueError):
         MetricSpec(d=0, p=2)

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from oracles import build_adjacency_reference
-from rgg_spectra.geometry import INFINITY, MAX_PAIRWISE_BYTES, MetricSpec, PointSet, grid_points, sample_uniform
-from rgg_spectra.graph import _BLOCK_BYTES, AdjacencyMatrix, build_adjacency, edge_list_text
+from rgg_spectra.geometry import _BLOCK_BYTES, INFINITY, MAX_PAIRWISE_BYTES, MetricSpec, PointSet, grid_points, sample_uniform
+from rgg_spectra.graph import AdjacencyMatrix, build_adjacency, edge_list_text
 
 
 def test_edge_rule_is_closed_at_radius():

@@ -314,10 +314,13 @@ assert D[np.arange(grid.n), result.assignment].max() == result.m_n
 """
 
 
-def _match_in_child(N: int, d: int, p: float, seed: int) -> None:
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    command = [sys.executable, "-c", _CHILD_MATCH, str(N), str(d), str(p), str(seed)]
+def _in_child(script: str, *args) -> None:
+    """Run script in a fresh interpreter that imports rgg_spectra from this
+    checkout and the test oracles; it must exit 0."""
+    here = Path(__file__).resolve().parent
+    paths = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    command = [sys.executable, "-c", script, *map(str, args)]
     proc = subprocess.run(command, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
 
@@ -330,7 +333,7 @@ def _match_in_child(N: int, d: int, p: float, seed: int) -> None:
 def test_probes_do_not_stall_on_grid_order(N, d, seed):
     # With the grid's columns in row-major order, scipy's Hopcroft-Karp took
     # 30 to over 60 s on one probe of each instance; shuffled, under 0.5 s.
-    _match_in_child(N, d, INFINITY, seed)
+    _in_child(_CHILD_MATCH, N, d, INFINITY, seed)
 
 
 @pytest.mark.parametrize("p", [2, INFINITY], ids=["p2", "pinf"])
@@ -338,7 +341,30 @@ def test_probes_do_not_stall_on_grid_order(N, d, seed):
 def test_circle_match_at_n_1024_does_not_stall(seed, p):
     # A Hopcroft-Karp probe just below m_n ran past 60 s on these instances,
     # even on shuffled columns; the d = 1 route makes none.
-    _match_in_child(1024, 1, p, seed)
+    _in_child(_CHILD_MATCH, 1024, 1, p, seed)
+
+
+# Figure 1 and d = 1 trials make no probe, so they must not load scipy's
+# sparse stack; the first d = 2 match loads it for its probes.
+_CHILD_COLD_START = """
+import sys
+import rgg_spectra, rgg_spectra.cli
+from rgg_spectra.geometry import INFINITY, MetricSpec, grid_points, sample_uniform
+from rgg_spectra.harness import ExperimentConfig, figure1_experiment, run_trials
+from rgg_spectra.matching import bottleneck_matching
+figure1_experiment(n=256)
+run_trials(ExperimentConfig(N=128, d=1, p=INFINITY, r=0.1, trials=4), 4)
+assert "scipy.sparse" not in sys.modules, "scipy.sparse loaded before the first probe"
+sample, grid, m = sample_uniform(36, 2, 3), grid_points(6, 2), MetricSpec(d=2, p=2)
+m_n = bottleneck_matching(sample, grid, m).m_n
+assert "scipy.sparse" in sys.modules
+from oracles import bisection_bottleneck
+assert m_n == bisection_bottleneck(sample, grid, m).m_n
+"""
+
+
+def test_scipy_sparse_loads_only_at_the_first_probe():
+    _in_child(_CHILD_COLD_START)
 
 
 def test_witness_assignment_achieves_the_value():
