@@ -17,7 +17,7 @@ from .geometry import INFINITY, MetricSpec, average_degree, ball_volume_theta
 from .graph import AdjacencyMatrix, _aligned, _check_permutation
 from .levy import trace_bound
 
-# Unused here; perfbench wraps them here until ROADMAP item 5.
+# Unused here; perfbench wraps them here until ROADMAP item 3.
 from .graph import build_adjacency  # noqa: F401
 from .levy import levy_distance  # noqa: F401
 from .spectra import sym_eigenvalues  # noqa: F401

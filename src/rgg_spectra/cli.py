@@ -2,8 +2,9 @@
 
 Each data command returns its files; one runner writes them plus a
 manifest.json (config echo, seed, versions, timestamp) into --out once the
-command has succeeded.  `replay --manifest <file> --out <dir>` reruns the
-recorded command and reproduces every data file byte-for-byte.
+command has succeeded.  `replay --manifest <file> --out <dir>` runs the
+recorded command line through the same parser and mode checks as a typed
+one, and reproduces every data file byte-for-byte.
 Data goes to files and standard output; diagnostics go to standard error.
 """
 
@@ -26,7 +27,7 @@ from . import __version__
 from .bounds import check_matching_regime, check_tail_parameters, lemma1_degree_bound, lemma4_decomposition, lemma6_variance_bound, theorem1_rhs
 from .dgg import dgg_eigenvalues_closed_form, dgg_eigenvalues_dft, dgg_spec
 from .geometry import INFINITY, MetricSpec, PointSet, average_degree, sample_uniform
-from .geometry import grid_points  # noqa: F401  perfbench wraps it here until ROADMAP item 5
+from .geometry import grid_points  # noqa: F401  perfbench wraps it here until ROADMAP item 3
 from .graph import build_adjacency, edge_list_text
 from .harness import (
     ExperimentConfig,
@@ -37,7 +38,7 @@ from .harness import (
     trial_seed,
 )
 from .levy import levy_distance, levy_distance_oracle
-from .matching import bottleneck_matching  # noqa: F401  perfbench wraps it here until ROADMAP item 5
+from .matching import bottleneck_matching  # noqa: F401  perfbench wraps it here until ROADMAP item 3
 from .spectra import Esd, _check_order, esd_eval, esd_from_eigenvalues, sym_eigenvalues
 
 CLOSED_FORM_REQUIRES_LINF = "CLOSED_FORM_REQUIRES_LINF"
@@ -76,10 +77,6 @@ def _parse_p(text: str) -> float:
 
 def _p_for_manifest(p: float):
     return "inf" if p == INFINITY else p
-
-
-def _p_from_manifest(value) -> float:
-    return INFINITY if value == "inf" else float(value)
 
 
 def _manifest_text(command: str, opts: dict) -> str:
@@ -309,37 +306,32 @@ def _commands() -> dict:
     }
 
 
-class _RecordedOptions(dict):
-    """The options of a replayed manifest: reading one it lacks is refused.
-    Each command reads its options before its costly work, so that the
-    refusal comes first."""
-
-    def __missing__(self, key):
-        raise CliError(f"manifest lacks the option {key!r}")
-
-
-def _read_manifest(opts: dict) -> tuple[str, dict]:
-    """The command and options that --manifest records, with this call's --out."""
+def _replay_argv(opts: dict) -> list[str]:
+    """The command line --manifest records, with this call's --out: --key=value
+    per option (so that a value such as -1e-05 is not read as an option), a
+    bare flag if true, none if null or false, the --dgg triple comma-joined."""
     with open(opts["manifest"]) as handle:
         manifest = json.load(handle)
-    for key in ("command", "args"):
-        if key not in manifest:
-            raise CliError(f"manifest lacks {key!r}")
-    command = manifest["command"]
-    if command not in _commands():
-        raise CliError(f"manifest names unknown command {command!r}")
-    args = _RecordedOptions(manifest["args"], out=opts["out"])
-    if args.get("p") is not None:
-        args["p"] = _p_from_manifest(args["p"])
-    return command, args
+    if not isinstance(manifest, dict):
+        raise CliError("manifest is not a JSON object")
+    command, args = manifest.get("command"), manifest.get("args")
+    if not isinstance(command, str) or command not in _commands():
+        raise CliError(f"manifest 'command' names no data command: {command!r}")
+    if not isinstance(args, dict):
+        raise CliError(f"manifest 'args' is not a JSON object: {args!r}")
+    argv = [command]
+    for key, value in args.items():
+        if key == "dgg" and isinstance(value, list):
+            value = ",".join(map(str, value))
+        if value is not None and value is not False:
+            argv.append("--" + key.replace("_", "-") + ("" if value is True else f"={value}"))
+    return argv + [f"--out={opts['out']}"]
 
 
 def _run(command: str, opts: dict) -> int:
-    """Run one data command, or the one a replayed manifest records, then
-    write its files and manifest.json into --out: a failed command leaves
-    --out as it was, and an --out that mkdir would refuse fails before any work."""
-    if command == "replay":
-        command, opts = _read_manifest(opts)
+    """Run one data command, then write its files and manifest.json into
+    --out: a failed command leaves --out as it was, and an --out that mkdir
+    would refuse fails before any work."""
     out = Path(opts["out"])
     existing = next(path for path in (out, *out.parents) if path.exists())
     if not existing.is_dir():
@@ -417,13 +409,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    namespace = parser.parse_args(argv)
-    opts = vars(namespace)
+def _parse(parser: argparse.ArgumentParser, argv: list[str] | None) -> tuple[str, dict]:
+    """The command and options of a command line, converted by the parser; an
+    option its mode never reads is refused (exit 2), not ignored and recorded."""
+    opts = vars(parser.parse_args(argv))
     command = opts.pop("command")
-    # Refuse the options that the chosen mode never reads, so that none is
-    # accepted, ignored and recorded in the manifest.
     if command == "spectrum" and opts["dgg"] is not None and opts["r"] is not None:
         parser.error("--r is read only with --input; a --dgg lattice carries its own radius")
     if command == "compare":
@@ -445,7 +435,15 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"--oracle-step must be positive, got {step}")
         if opts["oracle"]:
             opts["oracle_step"] = 1e-3 if step is None else step
+    return command, opts
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = build_parser()
+    command, opts = _parse(parser, argv)
     try:
+        if command == "replay":
+            command, opts = _parse(parser, _replay_argv(opts))
         return _run(command, opts)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

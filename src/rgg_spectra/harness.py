@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .dgg import dgg_band, dgg_eigenvalues_dft, dgg_spec
-from .dgg import dgg_eigenvalues_closed_form  # noqa: F401  perfbench wraps it here until ROADMAP item 5
+from .dgg import dgg_eigenvalues_closed_form  # noqa: F401  perfbench wraps it here until ROADMAP item 3
 from .geometry import INFINITY, MetricSpec, PointSet, average_degree, grid_points, sample_uniform
 from .graph import AdjacencyMatrix, _aligned, _refuse_dense, build_adjacency
 from .levy import levy_distance, trace_bound

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import ast
 import importlib
 import inspect
@@ -201,9 +202,10 @@ def test_replay_reads_its_inputs_from_any_directory(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert _run(["generate", "--n", 12, "--d", 2, "--p", 2, "--r", 0.3, "--out", "gen"]) == 0
     assert _run(["spectrum", "--input", "gen/points.csv", "--method", "eig", "--p", 2, "--r", 0.3, "--plot", "--out", "sp"]) == 0
-    assert _run(["compare", "--esd-a", "sp/eigenvalues.csv", "--esd-b", "sp/eigenvalues.csv", "--out", "cmp"]) == 0
+    argv = ["compare", "--esd-a", "sp/eigenvalues.csv", "--esd-b", "sp/eigenvalues.csv", "--oracle", "--oracle-step", 0.01]
+    assert _run(argv + ["--plot", "--out", "cmp"]) == 0
     monkeypatch.chdir(tmp_path / "elsewhere")
-    for name, files in (("sp", ["eigenvalues.csv", "cdf.svg"]), ("cmp", ["compare.json"])):
+    for name, files in (("sp", ["eigenvalues.csv", "cdf.svg"]), ("cmp", ["compare.json", "cdf.svg"])):
         assert _run(["replay", "--manifest", tmp_path / name / "manifest.json", "--out", "replayed-" + name]) == 0
         for file in files:
             assert (tmp_path / name / file).read_bytes() == (Path("replayed-" + name) / file).read_bytes()
@@ -285,15 +287,20 @@ def test_compare_manifests_record_only_the_options_their_mode_reads(tmp_path):
     assert (args["n"], args["d"], args["seed"]) == (256, 1, 1)
 
 
-def test_replay_reads_a_file_mode_manifest_that_records_fig1_options(tmp_path):
+def test_replay_refuses_a_file_mode_manifest_that_records_fig1_options(tmp_path, capsys):
+    """A manifest is parsed as the command line it records, so a key that its
+    mode refuses on the command line is refused in a manifest too."""
     esd_a, esd_b = _eigenvalue_files(tmp_path)
     out = tmp_path / "cmp"
     assert _run(["compare", "--esd-a", esd_a, "--esd-b", esd_b, "--out", out]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     manifest["args"].update({"n": 2000, "d": 1, "seed": 1, "oracle_step": 1e-3})
     (out / "old.json").write_text(json.dumps(manifest))
-    assert _run(["replay", "--manifest", out / "old.json", "--out", tmp_path / "replayed"]) == 0
-    assert (tmp_path / "replayed" / "compare.json").read_bytes() == (out / "compare.json").read_bytes()
+    with pytest.raises(SystemExit) as excinfo:
+        _run(["replay", "--manifest", out / "old.json", "--out", tmp_path / "replayed"])
+    assert excinfo.value.code == 2
+    assert "--n, --d and --seed are read only with --fig1" in capsys.readouterr().err
+    assert not (tmp_path / "replayed").exists()
 
 
 def test_compare_requires_partner_file(tmp_path):
@@ -389,23 +396,53 @@ def test_invalid_metric_exponent_is_usage_error(tmp_path):
     assert excinfo.value.code == 2
 
 
+_BOUNDS_ARGS = {"N": 8, "d": 1, "p": "inf", "r": 0.45, "t": 10, "a": 2.0, "trials": 3, "seed": 0}
+_GENERATE_ARGS = {"n": 10, "N": None, "d": 1, "p": "inf", "r": 0.2, "seed": 0}
+
+
 @pytest.mark.parametrize(
     "recorded, error",
     [
-        ({"command": "replay", "args": {"manifest": "m.json"}}, "manifest names unknown command 'replay'"),
-        ({"command": "plot", "args": {"manifest": "m.json"}}, "manifest names unknown command 'plot'"),
-        ({"args": {}}, "manifest lacks 'command'"),
-        ({"command": "bounds", "args": {"N": 8}}, "manifest lacks the option 'd'"),
+        ({"command": "replay", "args": {"manifest": "m.json"}}, "error: manifest 'command' names no data command: 'replay'"),
+        ({"command": "plot", "args": {"manifest": "m.json"}}, "error: manifest 'command' names no data command: 'plot'"),
+        ({"args": {}}, "error: manifest 'command' names no data command: None"),
+        ({"command": "bounds", "args": {"N": 8}}, "the following arguments are required: --d, --r, --t, --trials"),
+        ({"command": "bounds", "args": 5}, "error: manifest 'args' is not a JSON object: 5"),
+        ({"command": "bounds", "args": {**_BOUNDS_ARGS, "r": "x"}}, "argument --r: invalid float value: 'x'"),
+        ({"command": "bounds", "args": {**_BOUNDS_ARGS, "N": 8.5}}, "argument --N: invalid int value: '8.5'"),
+        (5, "error: manifest is not a JSON object"),
+        ({"command": "generate", "args": {**_GENERATE_ARGS, "bogus": 1}}, "unrecognized arguments: --bogus=1"),
     ],
-    ids=["replay", "plot", "no-command", "bounds-without-d"],
+    ids=["replay", "plot", "no-command", "bounds-without-d", "args-not-object", "r-not-float", "N-not-int", "bare-number", "unknown-key"],
 )
 def test_replay_refuses_a_manifest_naming_no_data_command(tmp_path, capsys, monkeypatch, recorded, error):
+    """A malformed manifest exits 2 with a message naming the bad field or
+    option, either from replay's own checks or from the parser's."""
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps(recorded))
     monkeypatch.setattr(cli, "run_trials", None)  # a bounds replay must stop before any trial
-    assert _run(["replay", "--manifest", manifest, "--out", tmp_path / "out"]) == 2
-    assert capsys.readouterr().err == f"error: {error}\n"
+    try:
+        code = _run(["replay", "--manifest", manifest, "--out", tmp_path / "out"])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert error in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def test_every_data_option_is_named_after_its_dest():
+    """replay rebuilds a command line from the manifest's keys, which are the
+    options' dests, so each long flag must be "--" plus its dest with
+    underscores as hyphens."""
+    parser = build_parser()
+    subparsers = next(action for action in parser._actions if isinstance(action, argparse._SubParsersAction))
+    assert set(cli._commands()) < set(subparsers.choices)
+    for command in cli._commands():
+        options = [action for action in subparsers.choices[command]._actions if not isinstance(action, argparse._HelpAction)]
+        assert options
+        for action in options:
+            assert action.option_strings == ["--" + action.dest.replace("_", "-")], (command, action.dest)
 
 
 @pytest.mark.parametrize(
