@@ -42,10 +42,13 @@ from .matching import bottleneck_matching  # noqa: F401  perfbench wraps it here
 from .spectra import Esd, _check_order, esd_eval, esd_from_eigenvalues, sym_eigenvalues
 
 CLOSED_FORM_REQUIRES_LINF = "CLOSED_FORM_REQUIRES_LINF"
+# Figure1Result's array fields: cdf_table.csv and cdf.svg carry them, and
+# compare.json every other field.
+_FIG1_ARRAYS = ("x", "cdf_rgg", "cdf_dgg", "esd_rgg", "esd_dgg")
 
 
 class CliError(Exception):
-    """Validation failure after argument parsing: message to stderr, exit 2."""
+    """A refused input file or manifest: message to stderr, exit 2."""
 
 
 def _fmt(x) -> str:
@@ -185,8 +188,6 @@ def cmd_spectrum(opts: dict) -> dict[str, str]:
     if opts.get("dgg") is not None:
         N, d, r = opts["dgg"]
         if method == "closed":
-            if opts["p"] != INFINITY:
-                raise CliError(f"{CLOSED_FORM_REQUIRES_LINF}: the closed-form lattice spectrum needs p = inf")
             values = dgg_eigenvalues_closed_form(dgg_spec(N, d, r))
         elif method == "dft":
             values = dgg_eigenvalues_dft(N, d, opts["p"], r)
@@ -194,10 +195,6 @@ def cmd_spectrum(opts: dict) -> dict[str, str]:
             _check_order(N**d)
             values = sym_eigenvalues(lattice_graph(N, d, opts["p"], r)[1])
     else:
-        if method != "eig":
-            raise CliError(f"--method {method} needs a --dgg lattice")
-        if opts.get("r") is None:
-            raise CliError("--input mode needs --r")
         coords = _read_csv(opts["input"])
         points = PointSet(d=coords.shape[1], coords=coords, kind="sample")
         _check_order(points.n)
@@ -217,16 +214,7 @@ def cmd_compare(opts: dict) -> dict[str, str]:
         files["cdf_table.csv"] = _csv_text(["x", "cdf_rgg", "cdf_dgg"], [result.x, result.cdf_rgg, result.cdf_dgg])
         esd_a, esd_b = result.esd_rgg, result.esd_dgg
         title = f"empirical vs analytic CDF, n={result.n}"
-        payload = {
-            "n": result.n,
-            "d": result.d,
-            "r": result.r,
-            "a_n_implied": result.a_n_implied,
-            "k": result.k,
-            "twin_frac": result.twin_frac,
-            "atom_minus1_frac": result.atom_minus1_frac,
-            "levy": result.levy,
-        }
+        payload = {field.name: getattr(result, field.name) for field in dataclasses.fields(result) if field.name not in _FIG1_ARRAYS}
     else:
         table_a, table_b = _read_csv(opts["esd_a"]), _read_csv(opts["esd_b"])
         if table_a.shape[1] != 1 or table_b.shape[1] != 1:
@@ -263,6 +251,7 @@ def cmd_bounds(opts: dict) -> dict[str, str]:
     A_D = lattice_graph(cfg.N, cfg.d, cfg.p, r)[1]
     lemma4 = lemma4_decomposition(A_X, A_D, results[0].assignment, r, cfg.metric)
 
+    config = {**dataclasses.asdict(cfg), "p": _p_for_manifest(cfg.p), "a_n": a_n}
     payload = {
         "lemma1": lemma1_degree_bound(cfg.d, cfg.p, a_n),
         "trace": lemma4.t0,
@@ -273,17 +262,8 @@ def cmd_bounds(opts: dict) -> dict[str, str]:
         "stderr": stderr,
         "m_n_max": m_n_max,
         "ratio_2M_over_r": 2.0 * m_n_max / r,
-        "trials": cfg.trials,
-        "config": {
-            "N": cfg.N,
-            "d": cfg.d,
-            "p": _p_for_manifest(cfg.p),
-            "r": r,
-            "t": cfg.t,
-            "a": cfg.a,
-            "seed": cfg.seed,
-            "a_n": a_n,
-        },
+        "trials": config.pop("trials"),
+        "config": config,
     }
     rows = [[i, result.levy_cubed, result.trace_bound, result.m_n, result.xi_n] for i, result in enumerate(results)]
     print(f"p_hat = {_fmt(p_hat)}")
@@ -306,10 +286,12 @@ def _commands() -> dict:
     }
 
 
-def _replay_argv(opts: dict) -> list[str]:
+def _replay_argv(parser: argparse.ArgumentParser, opts: dict) -> list[str]:
     """The command line --manifest records, with this call's --out: --key=value
     per option (so that a value such as -1e-05 is not read as an option), a
-    bare flag if true, none if null or false, the --dgg triple comma-joined."""
+    bare flag if true, none if null or false, the --dgg triple comma-joined.
+    A key must be the exact dest of one of its command's options, so that
+    argparse's prefix matching never reads "se" as --seed nor "help" as --help."""
     with open(opts["manifest"]) as handle:
         manifest = json.load(handle)
     if not isinstance(manifest, dict):
@@ -319,6 +301,11 @@ def _replay_argv(opts: dict) -> list[str]:
         raise CliError(f"manifest 'command' names no data command: {command!r}")
     if not isinstance(args, dict):
         raise CliError(f"manifest 'args' is not a JSON object: {args!r}")
+    subparsers = next(action for action in parser._actions if isinstance(action, argparse._SubParsersAction))
+    dests = {action.dest for action in subparsers.choices[command]._actions} - {"help"}
+    unknown = sorted(set(args) - dests)
+    if unknown:
+        raise CliError(f"manifest 'args' names no {command} option: {', '.join(map(repr, unknown))}")
     argv = [command]
     for key, value in args.items():
         if key == "dgg" and isinstance(value, list):
@@ -414,8 +401,16 @@ def _parse(parser: argparse.ArgumentParser, argv: list[str] | None) -> tuple[str
     option its mode never reads is refused (exit 2), not ignored and recorded."""
     opts = vars(parser.parse_args(argv))
     command = opts.pop("command")
-    if command == "spectrum" and opts["dgg"] is not None and opts["r"] is not None:
-        parser.error("--r is read only with --input; a --dgg lattice carries its own radius")
+    if command == "spectrum":
+        if opts["dgg"] is None:
+            if opts["method"] != "eig":
+                parser.error(f"--method {opts['method']} needs a --dgg lattice")
+            if opts["r"] is None:
+                parser.error("--input mode needs --r")
+        elif opts["r"] is not None:
+            parser.error("--r is read only with --input; a --dgg lattice carries its own radius")
+        if opts["method"] == "closed" and opts["p"] != INFINITY:
+            parser.error(f"{CLOSED_FORM_REQUIRES_LINF}: the closed-form lattice spectrum needs p = inf")
     if command == "compare":
         fig1_defaults = {"n": 2000, "d": 1, "seed": 1}
         if opts["fig1"]:
@@ -443,7 +438,7 @@ def main(argv: list[str] | None = None) -> int:
     command, opts = _parse(parser, argv)
     try:
         if command == "replay":
-            command, opts = _parse(parser, _replay_argv(opts))
+            command, opts = _parse(parser, _replay_argv(parser, opts))
         return _run(command, opts)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

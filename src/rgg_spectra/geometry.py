@@ -63,7 +63,7 @@ class PointSet:
         coords = np.ascontiguousarray(np.asarray(self.coords, dtype=float))
         if coords.ndim != 2 or coords.shape[1] != self.d:
             raise ValueError(f"coords must have shape (n, {self.d}), got {coords.shape}")
-        if coords.size and (coords.min() < 0.0 or coords.max() >= 1.0):
+        if coords.size and not (coords.min() >= 0.0 and coords.max() < 1.0):  # NaN fails both
             raise ValueError("coordinates must lie in [0, 1)")
         if self.kind not in (SAMPLE, GRID):
             raise ValueError(f"kind must be {SAMPLE!r} or {GRID!r}, got {self.kind!r}")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import dataclasses
 import importlib
 import inspect
 import json
@@ -95,8 +96,9 @@ def test_spectrum_methods_agree(tmp_path):
 
 
 def test_spectrum_closed_form_requires_linf(tmp_path, capsys):
-    rc = _run(["spectrum", "--dgg", "6,1,0.2", "--method", "closed", "--p", 2, "--out", tmp_path])
-    assert rc == 2
+    with pytest.raises(SystemExit) as excinfo:
+        _run(["spectrum", "--dgg", "6,1,0.2", "--method", "closed", "--p", 2, "--out", tmp_path])
+    assert excinfo.value.code == 2
     assert "CLOSED_FORM_REQUIRES_LINF" in capsys.readouterr().err
 
 
@@ -114,8 +116,9 @@ def test_spectrum_from_points_refuses_the_lattice_methods(tmp_path, capsys):
     gen = tmp_path / "gen"
     assert _run(["generate", "--n", 12, "--d", 1, "--r", 0.3, "--out", gen]) == 0
     for method in ("dft", "closed"):
-        rc = _run(["spectrum", "--input", gen / "points.csv", "--method", method, "--r", 0.3, "--out", tmp_path / method])
-        assert rc == 2
+        with pytest.raises(SystemExit) as excinfo:
+            _run(["spectrum", "--input", gen / "points.csv", "--method", method, "--r", 0.3, "--out", tmp_path / method])
+        assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert f"--method {method} needs a --dgg lattice" in err
         assert "CLOSED_FORM_REQUIRES_LINF" not in err
@@ -163,19 +166,21 @@ def test_spectrum_parse_error_reports_line(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "text, message",
+    "text, message, code",
     [
-        ("x1,x2\n0.1,0.2\n0.3,0.4,0.5\n", "{path}:3: expected 2 columns, got 3"),
-        ("x1,x2\n\n", "parse error at {path}: no data rows"),
+        ("x1,x2\n0.1,0.2\n0.3,0.4,0.5\n", "{path}:3: expected 2 columns, got 3", 2),
+        ("x1,x2\n\n", "parse error at {path}: no data rows", 2),
+        ("x1\n0.1\nnan\n0.3\n", "coordinates must lie in [0, 1)", 1),
     ],
-    ids=["wrong-width", "header-only"],
+    ids=["wrong-width", "header-only", "nan-coordinate"],
 )
-def test_spectrum_points_file_errors(tmp_path, capsys, text, message):
+def test_spectrum_points_file_errors(tmp_path, capsys, text, message, code):
     path = tmp_path / "points.csv"
     path.write_text(text)
     rc = _run(["spectrum", "--input", path, "--method", "eig", "--r", 0.2, "--out", tmp_path / "out"])
-    assert rc == 2
+    assert rc == code
     assert message.format(path=path) in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -320,23 +325,34 @@ def test_compare_fig1_small(tmp_path):
     assert 0 <= payload["levy"] <= 1.5
     assert 0 < payload["twin_frac"] <= payload["atom_minus1_frac"] < 1
     assert (out / "cdf.svg").exists()
+    scalars = {field.name for field in dataclasses.fields(harness.Figure1Result)} - {"x", "cdf_rgg", "cdf_dgg", "esd_rgg", "esd_dgg"}
+    assert set(payload) == scalars | {"levy_cubed", "trace_bound"}
+    assert _run(["compare", "--fig1", "--n", 256, "--oracle", "--out", tmp_path / "oracle"]) == 0
+    assert set(json.loads((tmp_path / "oracle" / "compare.json").read_text())) == scalars | {"levy_cubed", "trace_bound", "oracle"}
 
 
 def test_bounds_command_and_replay(tmp_path):
-    out = tmp_path / "bnd"
-    args = ["bounds", "--N", 16, "--d", 1, "--r", 0.499, "--t", 1000, "--trials", 3, "--seed", 0, "--out", out]
-    assert _run(args) == 0
-    payload = json.loads((out / "bounds.json").read_text())
-    assert set(payload["theorem1"]) >= {"term1", "term2", "term3", "total", "epsilon", "c", "vacuous"}
-    assert set(payload["lemma4"]) >= {"t_degree", "t_L", "t_aprime"}
-    assert payload["p_hat"] <= 1.0
-    trials_rows = (out / "trials.csv").read_text().splitlines()
-    assert trials_rows[0] == "trial,levy_cubed,trace_bound,m_n,xi_n"
-    assert len(trials_rows) == 4
-    replayed = tmp_path / "bnd2"
-    assert _run(["replay", "--manifest", out / "manifest.json", "--out", replayed]) == 0
-    assert (out / "bounds.json").read_bytes() == (replayed / "bounds.json").read_bytes()
-    assert (out / "trials.csv").read_bytes() == (replayed / "trials.csv").read_bytes()
+    config_keys = {field.name for field in dataclasses.fields(harness.ExperimentConfig)} - {"trials"} | {"a_n"}
+    for name, argv in (
+        ("d1", ["--N", 16, "--d", 1, "--r", 0.499, "--t", 1000, "--trials", 3, "--seed", 0]),
+        ("d2-l2", ["--N", 24, "--d", 2, "--p", 2, "--r", 0.25, "--t", 0.001, "--trials", 3, "--seed", 7]),
+    ):
+        out = tmp_path / name
+        assert _run(["bounds", *argv, "--out", out]) == 0
+        payload = json.loads((out / "bounds.json").read_text())
+        assert set(payload["theorem1"]) >= {"term1", "term2", "term3", "total", "epsilon", "c", "vacuous"}
+        assert set(payload["lemma4"]) >= {"t_degree", "t_L", "t_aprime"}
+        assert payload["p_hat"] <= 1.0
+        assert set(payload["config"]) == config_keys and payload["trials"] == 3
+        trials_rows = (out / "trials.csv").read_text().splitlines()
+        assert trials_rows[0] == "trial,levy_cubed,trace_bound,m_n,xi_n"
+        assert len(trials_rows) == 4
+        # The Lemma-4 terms are evaluated on trial 0's own sample graph.
+        assert payload["trace"] == float(trials_rows[1].split(",")[2])
+        replayed = tmp_path / (name + "-replayed")
+        assert _run(["replay", "--manifest", out / "manifest.json", "--out", replayed]) == 0
+        assert (out / "bounds.json").read_bytes() == (replayed / "bounds.json").read_bytes()
+        assert (out / "trials.csv").read_bytes() == (replayed / "trials.csv").read_bytes()
 
 
 def test_bounds_out_of_regime_is_an_error(tmp_path, capsys, monkeypatch):
@@ -411,9 +427,11 @@ _GENERATE_ARGS = {"n": 10, "N": None, "d": 1, "p": "inf", "r": 0.2, "seed": 0}
         ({"command": "bounds", "args": {**_BOUNDS_ARGS, "r": "x"}}, "argument --r: invalid float value: 'x'"),
         ({"command": "bounds", "args": {**_BOUNDS_ARGS, "N": 8.5}}, "argument --N: invalid int value: '8.5'"),
         (5, "error: manifest is not a JSON object"),
-        ({"command": "generate", "args": {**_GENERATE_ARGS, "bogus": 1}}, "unrecognized arguments: --bogus=1"),
+        ({"command": "generate", "args": {**_GENERATE_ARGS, "bogus": 1}}, "error: manifest 'args' names no generate option: 'bogus'"),
+        ({"command": "generate", "args": {"n": 10, "d": 1, "r": 0.2, "se": 3}}, "error: manifest 'args' names no generate option: 'se'"),
+        ({"command": "generate", "args": {**_GENERATE_ARGS, "help": True}}, "error: manifest 'args' names no generate option: 'help'"),
     ],
-    ids=["replay", "plot", "no-command", "bounds-without-d", "args-not-object", "r-not-float", "N-not-int", "bare-number", "unknown-key"],
+    ids=["replay", "plot", "no-command", "bounds-without-d", "args-not-object", "r-not-float", "N-not-int", "bare-number", "unknown-key", "option-prefix", "help"],
 )
 def test_replay_refuses_a_manifest_naming_no_data_command(tmp_path, capsys, monkeypatch, recorded, error):
     """A malformed manifest exits 2 with a message naming the bad field or
@@ -448,7 +466,7 @@ def test_every_data_option_is_named_after_its_dest():
 @pytest.mark.parametrize(
     "argv, code",
     [
-        (["spectrum", "--dgg", "8,1,0.3", "--method", "closed", "--p", 2], 2),
+        (["spectrum", "--dgg", "8,1,0.3", "--method", "closed", "--p", 2], "parser exits 2"),
         (["generate", "--n", 40000, "--d", 1, "--r", 0.01], 1),
         (["compare", "--esd-a", "bad.csv", "--esd-b", "bad.csv"], 2),
         (["bounds", "--N", 8, "--d", 1, "--r", 0.2, "--t", 10, "--trials", 3], 1),
@@ -457,8 +475,13 @@ def test_every_data_option_is_named_after_its_dest():
 )
 def test_a_failed_command_leaves_a_new_out_absent(tmp_path, argv, code):
     (tmp_path / "bad.csv").write_text("eigenvalue\n0.5\noops\n")
-    argv = [tmp_path / arg if arg == "bad.csv" else arg for arg in argv]
-    assert _run(argv + ["--out", tmp_path / "new" / "out"]) == code
+    argv = [tmp_path / arg if arg == "bad.csv" else arg for arg in argv] + ["--out", tmp_path / "new" / "out"]
+    if code == "parser exits 2":
+        with pytest.raises(SystemExit) as excinfo:
+            _run(argv)
+        assert excinfo.value.code == 2
+    else:
+        assert _run(argv) == code
     assert not (tmp_path / "new").exists()
 
 

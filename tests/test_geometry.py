@@ -154,6 +154,9 @@ def test_point_set_validation():
         PointSet(d=1, coords=np.array([[0.0], [1.0]]), kind="sample")  # 1.0 excluded
     with pytest.raises(ValueError):
         PointSet(d=2, coords=np.array([[0.0, -0.1]]), kind="sample")
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match=r"\[0, 1\)"):
+            PointSet(d=1, coords=np.array([[0.1], [bad], [0.3]]), kind="sample")
     pts = PointSet(d=1, coords=np.array([[0.0], [0.5]]), kind="sample")
     with pytest.raises(ValueError):
         pts.coords[0, 0] = 0.7  # frozen buffer
