@@ -1,4 +1,5 @@
-"""Numeric evaluators for the degree bound, the cubed-Levy decomposition, the
+"""Numeric evaluators for the degree bound, the cubed-Levy decomposition
+(from a trial's counts; tests/oracles.py has its matrix form), the
 edge-count variance bound, and the three-term tail bound.
 
 Every evaluator computes exactly the printed expression; nothing is clamped
@@ -11,11 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .geometry import INFINITY, MetricSpec, average_degree, ball_volume_theta
-from .graph import AdjacencyMatrix, _aligned, _check_permutation
-from .levy import trace_bound
 
 # Unused here; perfbench wraps them here until ROADMAP item 3.
 from .graph import build_adjacency  # noqa: F401
@@ -49,15 +46,15 @@ def lemma6_variance_bound(d: int, a_n: float) -> float:
 class Lemma4Terms:
     """Instance values of the cubed-Levy decomposition chain.
 
-    t0 is (1/n) tr(A_X - A_D)^2 under the alignment; t1 the identical
-    degree/cross-count form; t_degree + t_L + t_aprime the triangle-inequality
-    aggregate with the empirical cross counts standing in for the binomial
-    variables.  The chain L^3 <= t0 = t1 <= eq1_total holds on every
-    instance, with L the Levy distance between the two spectra.
+    t0 is (1/n) tr(A_X - A_D)^2 under the alignment, for 0/1 matrices equal
+    to (2 xi_n + n a' - 2 common)/n with common the ordered pairs adjacent in
+    both; t_degree + t_L + t_aprime is the triangle-inequality aggregate with
+    that count standing in for the binomial variables.  The chain
+    L^3 <= t0 <= eq1_total holds on every instance, with L the Levy distance
+    between the two spectra.
     """
 
     t0: float
-    t1: float
     t_degree: float
     t_L: float
     t_aprime: float
@@ -67,30 +64,23 @@ class Lemma4Terms:
         return self.t_degree + self.t_L + self.t_aprime
 
 
-def lemma4_decomposition(
-    A_X: AdjacencyMatrix, A_D: AdjacencyMatrix, matching: np.ndarray, r: float, m: MetricSpec
-) -> Lemma4Terms:
-    """Evaluate the decomposition chain on the sample adjacency A_X, the
-    lattice adjacency A_D (both at radius r under m) and the alignment
-    i -> matching[i]."""
-    n = A_X.n
-    if A_D.n != n:
-        raise ValueError(f"matrix orders differ: {n} vs {A_D.n}")
-    aligned = _aligned(A_D, _check_permutation(matching, n))
-    t0 = trace_bound(A_X.entries, aligned)
-    # Ordered pairs (i, j) adjacent in A_X whose images are adjacent in A_D.
-    common = np.count_nonzero(A_X.entries & aligned)
-
-    mean_degree = float(A_X.degrees().mean())
-    aprime_emp = float(A_D.degrees().mean())
-    t1 = mean_degree + aprime_emp - 2.0 * common / n
+def lemma4_decomposition(trace: float, edges: int, lattice_degree: int, n: int, r: float, m: MetricSpec) -> Lemma4Terms:
+    """The decomposition chain from an aligned pair's counts (trace bound,
+    sample edges, lattice degree a', order n) at radius r under m: common is
+    recovered exactly from n trace = 2 edges + n a' - 2 common, and counts
+    that no pair of 0/1 matrices has are refused."""
+    differing = round(trace * n)
+    twice_common = 2 * edges + n * lattice_degree - differing
+    common = twice_common // 2
+    if n < 1 or differing / n != trace or twice_common % 2 or not 0 <= common <= min(2 * edges, n * lattice_degree):
+        raise ValueError(f"inconsistent counts: trace={trace}, edges={edges}, lattice_degree={lattice_degree}, n={n}")
 
     a_n = average_degree(n, m.d, r)
     coeff = d_power(m.d, 1.0, m.p) * 2 ** (m.d + 1)
-    t_degree = coeff * abs(mean_degree - a_n)
+    t_degree = coeff * abs(2 * edges / n - a_n)
     t_L = coeff * abs(a_n - 2.0 * common / n)
 
-    return Lemma4Terms(t0=t0, t1=t1, t_degree=t_degree, t_L=t_L, t_aprime=aprime_emp)
+    return Lemma4Terms(t0=trace, t_degree=t_degree, t_L=t_L, t_aprime=float(lattice_degree))
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ import scipy
 
 from . import __version__
 from .bounds import check_matching_regime, check_tail_parameters, lemma1_degree_bound, lemma4_decomposition, lemma6_variance_bound, theorem1_rhs
-from .dgg import dgg_eigenvalues_closed_form, dgg_eigenvalues_dft, dgg_spec
+from .dgg import dgg_band, dgg_eigenvalues_closed_form, dgg_eigenvalues_dft, dgg_spec
 from .geometry import INFINITY, MetricSpec, PointSet, average_degree, sample_uniform
 from .geometry import grid_points  # noqa: F401  perfbench wraps it here until ROADMAP item 3
 from .graph import build_adjacency, edge_list_text
@@ -35,7 +35,6 @@ from .harness import (
     lattice_graph,
     probability_from_results,
     run_trials,
-    trial_seed,
 )
 from .levy import levy_distance, levy_distance_oracle
 from .matching import bottleneck_matching  # noqa: F401  perfbench wraps it here until ROADMAP item 3
@@ -247,9 +246,8 @@ def cmd_bounds(opts: dict) -> dict[str, str]:
 
     theorem1 = theorem1_rhs(cfg.t, n, cfg.d, cfg.p, r, a_n, m_n_max, cfg.a)
 
-    A_X = build_adjacency(sample_uniform(n, cfg.d, trial_seed(cfg.seed, 0)), r, cfg.metric)
-    A_D = lattice_graph(cfg.N, cfg.d, cfg.p, r)[1]
-    lemma4 = lemma4_decomposition(A_X, A_D, results[0].assignment, r, cfg.metric)
+    lattice_degree = int(dgg_band(cfg.N, cfg.d, cfg.p, r).sum())
+    lemma4 = lemma4_decomposition(results[0].trace_bound, results[0].xi_n, lattice_degree, n, r, cfg.metric)
 
     config = {**dataclasses.asdict(cfg), "p": _p_for_manifest(cfg.p), "a_n": a_n}
     payload = {
@@ -301,8 +299,7 @@ def _replay_argv(parser: argparse.ArgumentParser, opts: dict) -> list[str]:
         raise CliError(f"manifest 'command' names no data command: {command!r}")
     if not isinstance(args, dict):
         raise CliError(f"manifest 'args' is not a JSON object: {args!r}")
-    subparsers = next(action for action in parser._actions if isinstance(action, argparse._SubParsersAction))
-    dests = {action.dest for action in subparsers.choices[command]._actions} - {"help"}
+    dests = {action.dest for action in _subparser(parser, command)._actions} - {"help"}
     unknown = sorted(set(args) - dests)
     if unknown:
         raise CliError(f"manifest 'args' names no {command} option: {', '.join(map(repr, unknown))}")
@@ -396,38 +393,44 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _subparser(parser: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
+    """The parser of one subcommand, whose errors print its own usage line."""
+    return next(action for action in parser._actions if isinstance(action, argparse._SubParsersAction)).choices[command]
+
+
 def _parse(parser: argparse.ArgumentParser, argv: list[str] | None) -> tuple[str, dict]:
     """The command and options of a command line, converted by the parser; an
     option its mode never reads is refused (exit 2), not ignored and recorded."""
     opts = vars(parser.parse_args(argv))
     command = opts.pop("command")
+    error = _subparser(parser, command).error
     if command == "spectrum":
         if opts["dgg"] is None:
             if opts["method"] != "eig":
-                parser.error(f"--method {opts['method']} needs a --dgg lattice")
+                error(f"--method {opts['method']} needs a --dgg lattice")
             if opts["r"] is None:
-                parser.error("--input mode needs --r")
+                error("--input mode needs --r")
         elif opts["r"] is not None:
-            parser.error("--r is read only with --input; a --dgg lattice carries its own radius")
+            error("--r is read only with --input; a --dgg lattice carries its own radius")
         if opts["method"] == "closed" and opts["p"] != INFINITY:
-            parser.error(f"{CLOSED_FORM_REQUIRES_LINF}: the closed-form lattice spectrum needs p = inf")
+            error(f"{CLOSED_FORM_REQUIRES_LINF}: the closed-form lattice spectrum needs p = inf")
     if command == "compare":
         fig1_defaults = {"n": 2000, "d": 1, "seed": 1}
         if opts["fig1"]:
             if opts["esd_b"] is not None:
-                parser.error("--esd-b needs --esd-a")
+                error("--esd-b needs --esd-a")
             opts.update({key: value for key, value in fig1_defaults.items() if opts[key] is None})
         elif opts["esd_b"] is None:
-            parser.error("--esd-a needs --esd-b")
+            error("--esd-a needs --esd-b")
         else:
             given = [key for key in fig1_defaults if opts.pop(key) is not None]
             if given:
-                parser.error("--n, --d and --seed are read only with --fig1")
+                error("--n, --d and --seed are read only with --fig1")
         step = opts.pop("oracle_step")
         if step is not None and not opts["oracle"]:
-            parser.error("--oracle-step is read only with --oracle")
+            error("--oracle-step is read only with --oracle")
         if step is not None and not step > 0:
-            parser.error(f"--oracle-step must be positive, got {step}")
+            error(f"--oracle-step must be positive, got {step}")
         if opts["oracle"]:
             opts["oracle_step"] = 1e-3 if step is None else step
     return command, opts

@@ -67,13 +67,6 @@ def build_adjacency(points: PointSet, r: float, m: MetricSpec) -> AdjacencyMatri
     return AdjacencyMatrix(entries=entries)
 
 
-def _check_permutation(matching: np.ndarray, n: int) -> np.ndarray:
-    matching = np.asarray(matching, dtype=np.int64)
-    if matching.shape != (n,) or not np.array_equal(np.sort(matching), np.arange(n)):
-        raise ValueError("matching must be a permutation of 0..n-1")
-    return matching
-
-
 def _aligned(A: AdjacencyMatrix, matching: np.ndarray) -> np.ndarray:
     """A's entries under the alignment: [i, j] -> A[matching[i], matching[j]].
 

@@ -14,7 +14,8 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
-from rgg_spectra.geometry import MetricSpec, PointSet, torus_distance_matrix
+from rgg_spectra.bounds import Lemma4Terms, d_power
+from rgg_spectra.geometry import MetricSpec, PointSet, average_degree, torus_distance_matrix
 from rgg_spectra.graph import AdjacencyMatrix
 from rgg_spectra.matching import BottleneckResult
 from rgg_spectra.spectra import Esd
@@ -130,6 +131,29 @@ def brute_cross_edge_count(a_entries: np.ndarray, b_entries: np.ndarray, matchin
             if a_entries[i, j] and b_entries[matching[i], matching[j]]:
                 count += 1
     return count
+
+
+def lemma4_matrix_terms(
+    A_X: AdjacencyMatrix, A_D: AdjacencyMatrix, matching: np.ndarray, r: float, m: MetricSpec
+) -> tuple[Lemma4Terms, float]:
+    """The Lemma-4 terms on the matrices, and T1: T0 counts the entries where
+    A_X and the aligned A_D differ, T1 is the degree form mean degree of A_X
+    + mean degree of A_D - 2 (ordered pairs adjacent in both) / n."""
+    n = A_X.n
+    if A_D.n != n or not np.array_equal(np.sort(matching), np.arange(n)):
+        raise ValueError("need two adjacencies of one order and a permutation of 0..n-1")
+    aligned = A_D.entries[np.ix_(matching, matching)]
+    t0 = np.count_nonzero(A_X.entries != aligned) / n
+    common = np.count_nonzero(A_X.entries & aligned)
+    mean_degree = float(A_X.degrees().mean())
+    aprime = float(A_D.degrees().mean())
+    t1 = mean_degree + aprime - 2.0 * common / n
+    a_n = average_degree(n, m.d, r)
+    coeff = d_power(m.d, 1.0, m.p) * 2 ** (m.d + 1)
+    terms = Lemma4Terms(
+        t0=t0, t_degree=coeff * abs(mean_degree - a_n), t_L=coeff * abs(a_n - 2.0 * common / n), t_aprime=aprime
+    )
+    return terms, t1
 
 
 def brute_trace_quadratic(a_entries: np.ndarray, b_entries: np.ndarray) -> float:

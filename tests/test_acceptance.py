@@ -17,8 +17,8 @@ import math
 import numpy as np
 import pytest
 
-from oracles import binomial_tail_oracle, brute_bottleneck, random_symmetric_01
-from rgg_spectra.bounds import lemma1_degree_bound, lemma4_decomposition, lemma6_variance_bound, theorem1_rhs
+from oracles import binomial_tail_oracle, brute_bottleneck, lemma4_matrix_terms, random_symmetric_01
+from rgg_spectra.bounds import lemma1_degree_bound, lemma6_variance_bound, theorem1_rhs
 from rgg_spectra.cli import main as cli_main
 from rgg_spectra.dgg import dgg_eigenvalues_closed_form, dgg_eigenvalues_dft, dgg_spec
 from rgg_spectra.geometry import INFINITY, MetricSpec, PointSet, ball_volume_theta, grid_points, sample_uniform
@@ -163,10 +163,11 @@ def test_criterion_07_decomposition_identity():
         r = float(rng.uniform(0.05, 0.45))
         m = MetricSpec(d=d, p=p)
         A_X, A_D = build_adjacency(sample, r, m), build_adjacency(grid, r, m)
-        terms = lemma4_decomposition(A_X, A_D, matching, r, m)
+        t0 = trace_bound(A_X.entries, A_D.entries[np.ix_(matching, matching)])
+        _, t1 = lemma4_matrix_terms(A_X, A_D, matching, r, m)
         esd_x, esd_d = (esd_from_eigenvalues(sym_eigenvalues(A)) for A in (A_X, A_D))
-        worst_gap = max(worst_gap, abs(terms.t0 - terms.t1))
-        worst_chain = max(worst_chain, levy_distance(esd_x, esd_d).distance ** 3 - terms.t0)
+        worst_gap = max(worst_gap, abs(t0 - t1))
+        worst_chain = max(worst_chain, levy_distance(esd_x, esd_d).distance ** 3 - t0)
     ok = worst_gap <= 1e-9 and worst_chain <= 1e-9
     _verdict(7, ok, f"50 instances, max |T0 - T1| = {worst_gap:.3e}, max(L^3 - T0) = {worst_chain:.3e}")
     assert ok

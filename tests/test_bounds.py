@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from oracles import binomial_tail_oracle, brute_cross_edge_count
+from oracles import binomial_tail_oracle, brute_cross_edge_count, lemma4_matrix_terms
 from rgg_spectra.bounds import (
     lemma1_degree_bound,
     lemma4_decomposition,
@@ -18,7 +18,8 @@ from rgg_spectra.bounds import (
 from rgg_spectra.dgg import dgg_degree, dgg_spec
 from rgg_spectra.geometry import INFINITY, MetricSpec, ball_volume_theta, grid_points, sample_uniform
 from rgg_spectra.graph import build_adjacency
-from rgg_spectra.levy import levy_distance
+from rgg_spectra.harness import lattice_graph
+from rgg_spectra.levy import levy_distance, trace_bound
 from rgg_spectra.spectra import esd_from_eigenvalues, sym_eigenvalues
 
 
@@ -145,15 +146,25 @@ def test_binomial_oracle_against_exact_tail():
     assert abs(estimate - exact) <= 4 * stderr + 1e-12
 
 
+def _terms_from_counts(A_X, A_D, matching, r, m):
+    """lemma4_decomposition on the counts a trial carries: the trace bound of
+    the aligned pair, the sample's edge count, and the lattice degree."""
+    degrees = A_D.degrees()
+    assert np.all(degrees == degrees[0])
+    trace = trace_bound(A_X.entries, A_D.entries[np.ix_(matching, matching)])
+    return lemma4_decomposition(trace, int(A_X.degrees().sum()) // 2, int(degrees[0]), A_X.n, r, m)
+
+
 def test_decomposition_identity_on_identity_instance():
     grid = grid_points(4, 2)
     sample = type(grid)(d=2, coords=grid.coords.copy(), kind="sample")
     m = MetricSpec(d=2, p=INFINITY)
     A_X, A_D = build_adjacency(sample, 0.3, m), build_adjacency(grid, 0.3, m)
-    terms = lemma4_decomposition(A_X, A_D, np.arange(16), 0.3, m)
+    terms, t1 = lemma4_matrix_terms(A_X, A_D, np.arange(16), 0.3, m)
     assert terms.t0 == 0.0
-    assert abs(terms.t1) <= 1e-12
+    assert abs(t1) <= 1e-12
     assert _levy_cubed(A_X, A_D) == 0.0
+    assert _terms_from_counts(A_X, A_D, np.arange(16), 0.3, m) == terms
 
 
 def test_decomposition_identity_and_chain_on_random_instances():
@@ -169,11 +180,12 @@ def test_decomposition_identity_and_chain_on_random_instances():
         matching = rng.permutation(n)
         r = float(rng.uniform(0.08, 0.45))
         A_X, A_D = build_adjacency(sample, r, m), build_adjacency(grid, r, m)
-        terms = lemma4_decomposition(A_X, A_D, matching, r, m)
-        assert terms.t0 == pytest.approx(terms.t1, abs=1e-9)
+        terms, t1 = lemma4_matrix_terms(A_X, A_D, matching, r, m)
+        assert terms.t0 == pytest.approx(t1, abs=1e-9)
         assert _levy_cubed(A_X, A_D) <= terms.t0 + 1e-9
         assert terms.t0 <= terms.eq1_total + 1e-9
         assert terms.t_degree >= 0 and terms.t_L >= 0 and terms.t_aprime >= 0
+        assert _terms_from_counts(A_X, A_D, matching, r, m) == terms
 
 
 def test_decomposition_term_formulas():
@@ -183,13 +195,14 @@ def test_decomposition_term_formulas():
     grid = grid_points(N, 1)
     matching = np.arange(n)
     A_X, A_D = build_adjacency(sample, r, m), build_adjacency(grid, r, m)
-    terms = lemma4_decomposition(A_X, A_D, matching, r, m)
+    terms, _ = lemma4_matrix_terms(A_X, A_D, matching, r, m)
     mean_deg = A_X.degrees().mean()
     a_n = ball_volume_theta(1) * n * r
     coeff = 2.0 ** (1 + 1)  # d^{1/p} 2^{d+1} with d=1
     assert terms.t_degree == pytest.approx(coeff * abs(mean_deg - a_n), rel=1e-12)
     assert terms.t_aprime == pytest.approx(float(A_D.degrees().mean()), rel=1e-12)
     assert terms.eq1_total == pytest.approx(terms.t_degree + terms.t_L + terms.t_aprime, rel=1e-12)
+    assert _terms_from_counts(A_X, A_D, matching, r, m) == terms
 
 
 def test_decomposition_common_edges_match_brute_force():
@@ -198,19 +211,33 @@ def test_decomposition_common_edges_match_brute_force():
     rng = np.random.default_rng(11)
     for N, d, p, r in ((30, 1, INFINITY, 0.1), (6, 2, 2, 0.3), (4, 3, 1, 0.4)):
         n, m = N**d, MetricSpec(d=d, p=p)
-        A_X, A_D = build_adjacency(sample_uniform(n, d, 3), r, m), build_adjacency(grid_points(N, d), r, m)
+        # The lattice from dgg_band: at the tie radius 3/30, build_adjacency on
+        # the grid's rounded coordinates gives a graph that is not regular.
+        A_X, A_D = build_adjacency(sample_uniform(n, d, 3), r, m), lattice_graph(N, d, p, r)[1]
         matching = rng.permutation(n)
         common = brute_cross_edge_count(A_X.entries, A_D.entries, matching)
         assert common > 0
         expected = float(A_X.degrees().mean()) + float(A_D.degrees().mean()) - 2.0 * (2 * common) / n
-        assert lemma4_decomposition(A_X, A_D, matching, r, m).t1 == expected
+        terms, t1 = lemma4_matrix_terms(A_X, A_D, matching, r, m)
+        assert t1 == expected
+        assert _terms_from_counts(A_X, A_D, matching, r, m) == terms
 
 
-def test_decomposition_rejects_non_permutation():
+# With n = 4 vertices, 3 sample edges and lattice degree 2, the differing
+# entries number 6 + 8 - 2 common, with 0 <= common <= min(6, 8).
+@pytest.mark.parametrize(
+    "trace, edges, lattice_degree, n",
+    [
+        (1.25, 3, 2, 4),  # 5 differing entries: an odd numerator
+        (4.0, 3, 2, 4),  # 16 differing entries: common = -1
+        (0.0, 3, 2, 4),  # common = 7 > 2 edges = 6
+        (0.0, 5, 2, 4),  # common = 9 > n a' = 8, with 2 edges = 10
+        (0.0, 0, 0, 0),  # no vertices
+        (0.55, 3, 2, 4),  # 2.2 differing entries: not a count over n
+    ],
+    ids=["odd-numerator", "negative-common", "common-above-edges", "common-above-lattice", "n-zero", "trace-not-a-count"],
+)
+def test_decomposition_refuses_inconsistent_counts(trace, edges, lattice_degree, n):
     m = MetricSpec(d=1, p=2)
-    A_X = build_adjacency(sample_uniform(4, 1, 1), 0.2, m)
-    A_D = build_adjacency(grid_points(4, 1), 0.2, m)
-    with pytest.raises(ValueError, match="permutation"):
-        lemma4_decomposition(A_X, A_D, np.array([0, 0, 1, 2]), 0.2, m)
-    with pytest.raises(ValueError, match="orders differ"):
-        lemma4_decomposition(A_X, build_adjacency(grid_points(5, 1), 0.2, m), np.arange(4), 0.2, m)
+    with pytest.raises(ValueError):
+        lemma4_decomposition(trace, edges, lattice_degree, n, 0.2, m)

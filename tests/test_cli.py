@@ -17,8 +17,11 @@ import numpy as np
 import pytest
 
 import rgg_spectra
+from oracles import lemma4_matrix_terms
 from rgg_spectra import cli, harness
 from rgg_spectra.cli import build_parser, main
+from rgg_spectra.geometry import INFINITY, sample_uniform
+from rgg_spectra.graph import build_adjacency
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -264,18 +267,22 @@ def test_compare_plots_in_file_mode(tmp_path):
         (["compare", "--esd-a", "a.csv", "--esd-b", "b.csv", "--seed", 1], "read only with --fig1"),
         (["compare", "--fig1", "--esd-b", "b.csv"], "--esd-b needs --esd-a"),
         (["spectrum", "--dgg", "8,1,0.25", "--r", 0.4, "--method", "closed"], "--r is read only with --input"),
+        (["spectrum", "--dgg", "6,1,0.2", "--method", "closed", "--p", 2], "CLOSED_FORM_REQUIRES_LINF"),
         (["compare", "--esd-a", "a.csv", "--esd-b", "b.csv", "--oracle-step", 0.01], "--oracle-step is read only with --oracle"),
         (["compare", "--fig1", "--oracle", "--oracle-step", 0], "--oracle-step must be positive, got 0.0"),
         (["compare", "--fig1", "--oracle", "--oracle-step", -1], "--oracle-step must be positive, got -1.0"),
         (["compare", "--fig1", "--oracle", "--oracle-step", "nan"], "--oracle-step must be positive, got nan"),
     ],
-    ids=["files-n", "files-d", "files-seed", "fig1-esd-b", "dgg-r", "step-without-oracle", "step-zero", "step-negative", "step-nan"],
+    ids=["files-n", "files-d", "files-seed", "fig1-esd-b", "dgg-r", "closed-p2", "step-without-oracle", "step-zero", "step-negative", "step-nan"],
 )
 def test_options_a_mode_never_reads_are_refused(tmp_path, capsys, argv, message):
+    """Refused through the subcommand's parser: its usage line and prog."""
     with pytest.raises(SystemExit) as excinfo:
         _run(argv + ["--out", tmp_path / "out"])
     assert excinfo.value.code == 2
-    assert message in capsys.readouterr().err
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0].startswith(f"usage: rgg-spectra {argv[0]} ")
+    assert lines[-1].startswith(f"rgg-spectra {argv[0]}: error: ") and message in lines[-1]
     assert not (tmp_path / "out").exists()
 
 
@@ -333,11 +340,12 @@ def test_compare_fig1_small(tmp_path):
 
 def test_bounds_command_and_replay(tmp_path):
     config_keys = {field.name for field in dataclasses.fields(harness.ExperimentConfig)} - {"trials"} | {"a_n"}
-    for name, argv in (
-        ("d1", ["--N", 16, "--d", 1, "--r", 0.499, "--t", 1000, "--trials", 3, "--seed", 0]),
-        ("d2-l2", ["--N", 24, "--d", 2, "--p", 2, "--r", 0.25, "--t", 0.001, "--trials", 3, "--seed", 7]),
+    for name, cfg in (
+        ("d1", harness.ExperimentConfig(N=16, d=1, p=INFINITY, r=0.499, t=1000, trials=3, seed=0)),
+        ("d2-l2", harness.ExperimentConfig(N=24, d=2, p=2, r=0.25, t=0.001, trials=3, seed=7)),
     ):
         out = tmp_path / name
+        argv = [f"--{key}={value}" for key, value in dataclasses.asdict(cfg).items()]
         assert _run(["bounds", *argv, "--out", out]) == 0
         payload = json.loads((out / "bounds.json").read_text())
         assert set(payload["theorem1"]) >= {"term1", "term2", "term3", "total", "epsilon", "c", "vacuous"}
@@ -347,8 +355,14 @@ def test_bounds_command_and_replay(tmp_path):
         trials_rows = (out / "trials.csv").read_text().splitlines()
         assert trials_rows[0] == "trial,levy_cubed,trace_bound,m_n,xi_n"
         assert len(trials_rows) == 4
-        # The Lemma-4 terms are evaluated on trial 0's own sample graph.
+        # The Lemma-4 terms are trial 0's: rebuild its two graphs and matching
+        # here and evaluate the matrix form.
         assert payload["trace"] == float(trials_rows[1].split(",")[2])
+        A_X = build_adjacency(sample_uniform(cfg.n, cfg.d, harness.trial_seed(cfg.seed, 0)), cfg.r, cfg.metric)
+        A_D = harness.lattice_graph(cfg.N, cfg.d, cfg.p, cfg.r)[1]
+        terms, _ = lemma4_matrix_terms(A_X, A_D, harness.run_trial(cfg, 0).assignment, cfg.r, cfg.metric)
+        assert payload["trace"] == terms.t0
+        assert payload["lemma4"] == {"t_degree": terms.t_degree, "t_L": terms.t_L, "t_aprime": terms.t_aprime}
         replayed = tmp_path / (name + "-replayed")
         assert _run(["replay", "--manifest", out / "manifest.json", "--out", replayed]) == 0
         assert (out / "bounds.json").read_bytes() == (replayed / "bounds.json").read_bytes()
@@ -648,3 +662,16 @@ def test_public_names_have_a_caller_outside_the_tests():
     direct = {"torus_distance", "dgg_degree", "bottleneck_rate_envelope"}
     unused = sorted(set(rgg_spectra.__all__) - used - direct)
     assert not unused, f"public names that only the tests reach: {unused}"
+
+
+def test_only_the_harness_derives_trial_seeds():
+    """No module but harness.py calls trial_seed, so no report re-derives a
+    trial's sample; it reads the trial's own result instead."""
+    callers = set()
+    for path in sorted((ROOT / "src" / "rgg_spectra").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                if (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) == "trial_seed":
+                    callers.add(path.name)
+    assert callers == {"harness.py"}
