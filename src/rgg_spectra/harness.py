@@ -80,15 +80,13 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class TrialResult:
-    """Per-trial outcomes.  assignment is the optimal sample -> grid matching;
-    it is excluded from equality because ndarray equality is elementwise."""
+    """Per-trial outcomes."""
 
     levy_cubed: float
     trace_bound: float
     m_n: float
     xi_n: int
     esd_rgg: Esd
-    assignment: np.ndarray = field(compare=False, repr=False)
 
 
 # Each entry holds an n x n adjacency, so only a few configurations are kept.
@@ -137,7 +135,6 @@ def run_trial(cfg: ExperimentConfig, trial_index: int) -> TrialResult:
         m_n=bottleneck.m_n,
         xi_n=int(A_X.degrees().sum()) // 2,
         esd_rgg=esd_rgg,
-        assignment=bottleneck.assignment,
     )
 
 

@@ -20,21 +20,36 @@ scipy's Hopcroft-Karp took over 30 s on single d = 1 probes at N = 768 and
 over 60 s at N = 1024, even on shuffled columns.
 
 The general search, run in d >= 2 and by the d = 1 fallback, works on one
-candidate list: the pairs within a feasible cap, in row-major order, with their distinct distances sorted once (the
-threshold graph technique of Efrat, Itai & Katz, "Geometry helps in
-bottleneck matching and related problems", Algorithmica 31, 2001).  A probe
-at threshold t is the CSR of the candidates within t, which is the whole
-threshold graph D <= t because t never exceeds the cap.  The search keeps
-the best perfect matching found so far: every feasible probe lowers the
-upper end to the largest distance of the matching it returns, and the
-search ends holding an optimal assignment, so it never probes the optimum a
-second time.  In d >= 2 the cap starts at 2 * lower: the whole candidate
-set is probed once, and the cap widens by half (up to the largest distance,
-where the graph is complete) until it holds a perfect matching; the search
-then bisects the candidates' distinct distances.  The d = 1 fallback starts
-from the matching its probe found.  The grid's columns are probed
-in a fixed shuffled order: in row-major grid order scipy's Hopcroft-Karp can
-spend a minute on a probe that takes 0.01 s shuffled.
+candidate list: the pairs within a feasible cap, in row-major order, with
+their distinct distances sorted once (the threshold graph technique of
+Efrat, Itai & Katz, "Geometry helps in bottleneck matching and related
+problems", Algorithmica 31, 2001).  A probe at threshold t is the CSR of the
+candidates within t, which is the whole threshold graph D <= t because t
+never exceeds the cap.  In d >= 2 the cap starts at 2 * lower, and the
+search gallops up from lower in steps of 64, 128, 256, ... distinct
+distances; a gallop that reaches the cap without a perfect matching widens
+the cap by half (up to the largest distance, where the graph is complete).
+It then bisects the bracket below the first perfect matching, after cutting
+the candidates to that matching's largest distance.  The search keeps the
+best perfect matching found so far: every feasible probe lowers the upper
+end to the largest distance of the matching it returns, and the search ends
+holding an optimal assignment, so it never probes the optimum a second
+time.  The d = 1 fallback enters the bisection with the matching its probe
+found.
+
+Every probe after the first is warm-started, the threshold method of Gabow
+& Tarjan ("Algorithms for two bottleneck optimization problems", J.
+Algorithms 9, 1988) without augmenting code of our own.  scipy's
+Hopcroft-Karp starts from a greedy matching in CSR row order, so each row
+whose warm pair is within the threshold lists that pair first, and only the
+rows left free are augmented.  The warm matching is the previous probe's
+maximum matching while galloping (its pairs stay within every higher
+threshold), then the best perfect matching.  The layout affects only the
+speed: Hopcroft-Karp returns a maximum matching for any order of the edges,
+and m_n, the optimum, is the same; the assignment is one optimal one.
+The grid's columns are probed in a fixed shuffled order: in row-major grid
+order scipy's Hopcroft-Karp can spend a minute on a probe that takes 0.01 s
+shuffled.
 
 Also provides the d-dependent rate envelopes used for empirical rate
 regressions.
@@ -72,32 +87,46 @@ def maximum_bipartite_matching(graph, perm_type):
 
 @dataclass(frozen=True)
 class _Candidates:
-    """The pairs within a cap: rows, columns and distances in row-major order."""
+    """The pairs within a cap in row-major order: flat index row * n + column,
+    column and distance."""
 
     n: int
-    rows: np.ndarray
+    flat: np.ndarray
     cols: np.ndarray
     dist: np.ndarray
 
     @classmethod
     def within(cls, D: np.ndarray, cap: float) -> "_Candidates":
         flat = np.flatnonzero(D <= cap)
-        rows, cols = np.divmod(flat, D.shape[1])
-        return cls(n=D.shape[0], rows=rows, cols=cols.astype(np.int32), dist=D.ravel()[flat])
+        return cls(n=D.shape[0], flat=flat, cols=(flat % D.shape[1]).astype(np.int32), dist=D.ravel()[flat])
 
-    def full_matching(self, threshold: float) -> np.ndarray | None:
-        """A perfect row->column matching using only pairs within threshold, or None."""
+    def cut(self, threshold: float) -> "_Candidates":
+        """The candidates within threshold."""
+        keep = np.flatnonzero(self.dist <= threshold)  # integer indexing outruns a boolean mask
+        return _Candidates(n=self.n, flat=self.flat[keep], cols=self.cols[keep], dist=self.dist[keep])
+
+    def matching(self, threshold: float, warm: np.ndarray | None) -> np.ndarray:
+        """A maximum row->column matching using only pairs within threshold,
+        with -1 for the free rows.
+
+        warm is a matching (-1 for free rows) to start from: in each row whose
+        warm pair is within threshold, that pair is swapped to the front of the
+        row, where the greedy start of scipy's Hopcroft-Karp takes it.
+        """
         from scipy.sparse import csr_matrix  # on the first probe, like scipy's Hopcroft-Karp
 
-        keep = self.dist <= threshold
-        indptr = np.zeros(self.n + 1, dtype=np.int32)
-        np.cumsum(np.bincount(self.rows[keep], minlength=self.n), out=indptr[1:])
-        cols = self.cols[keep]
+        probe = self.cut(threshold)
+        flat, cols = probe.flat, probe.cols
+        indptr = np.searchsorted(flat, np.arange(self.n + 1) * self.n).astype(np.int32)
+        if warm is not None:
+            rows = np.flatnonzero(warm >= 0)
+            pairs = rows * self.n + warm[rows]
+            at = np.minimum(np.searchsorted(flat, pairs), len(flat) - 1)
+            kept = flat[at] == pairs
+            first, at = indptr[rows[kept]], at[kept]
+            cols[first], cols[at] = cols[at], cols[first]
         graph = csr_matrix((np.ones(len(cols), dtype=bool), cols, indptr), shape=(self.n, self.n))
-        matched_col = maximum_bipartite_matching(graph, perm_type="column")
-        if np.any(matched_col < 0):
-            return None
-        return matched_col.astype(np.int64)
+        return maximum_bipartite_matching(graph, perm_type="column")
 
 
 def _column_order(n: int) -> np.ndarray:
@@ -110,35 +139,60 @@ def _bottleneck_index(values: np.ndarray, D: np.ndarray, assignment: np.ndarray)
     return int(np.searchsorted(values, D[np.arange(D.shape[0]), assignment].max()))
 
 
-def _search(D: np.ndarray, best: np.ndarray | None) -> tuple[float, np.ndarray]:
-    """Optimal value and assignment on D by the candidate-list bisection.
+# The gallop's first step, in distinct candidate distances; each step doubles.
+_GALLOP = 64
 
-    best is a perfect matching to start from, or None to find one by
-    widening the cap from 2 * lower.
+
+def _gallop(D: np.ndarray, lower: float) -> tuple[_Candidates, np.ndarray, int, np.ndarray]:
+    """Probe up from lower until a perfect matching is found.
+
+    Returns the candidates, their sorted distinct distances, the position of
+    the lowest distance not proved infeasible, and the perfect matching.
+    """
+    cap = 2.0 * lower
+    candidates = _Candidates.within(D, cap)
+    values = np.unique(candidates.dist)
+    lo, step, warm = int(np.searchsorted(values, lower)), _GALLOP, None
+    while True:
+        mid = min(lo + step - 1, len(values) - 1)
+        found = candidates.matching(values[mid], warm)
+        if np.all(found >= 0):
+            return candidates, values, lo, found
+        lo, step, warm = mid + 1, 2 * step, found
+        if lo == len(values):
+            # Infeasible at the cap: widen it.  The new distances all lie above
+            # the old ones, so lo keeps its place (if there are none, the next
+            # probe is at the cap again).
+            top = D.max()
+            cap = min(1.5 * cap, top) if cap > 0 else top
+            candidates = _Candidates.within(D, cap)
+            values = np.unique(candidates.dist)
+
+
+def _search(D: np.ndarray, best: np.ndarray | None) -> tuple[float, np.ndarray]:
+    """Optimal value and assignment on D by the candidate-list search.
+
+    best is a perfect matching to start from, or None to gallop up from the
+    lower bound until one is found.
     """
     lower = max(D.min(axis=1).max(), D.min(axis=0).max())
-    # Invariant: best is a perfect matching within the candidates' cap.
     if best is None:
-        cap, top = 2.0 * lower, D.max()
-        while True:
-            candidates = _Candidates.within(D, cap)
-            best = candidates.full_matching(cap)
-            if best is not None:
-                break
-            cap = min(1.5 * cap, top) if cap > 0 else top
+        candidates, values, lo, best = _gallop(D, lower)
     else:
         candidates = _Candidates.within(D, D[np.arange(D.shape[0]), best].max())
-    values = np.unique(candidates.dist)
-    lo = int(np.searchsorted(values, lower))
-    # Invariant: best is a perfect matching with largest distance values[hi].
+        values = np.unique(candidates.dist)
+        lo = int(np.searchsorted(values, lower))
+    # Invariant: best is a perfect matching with largest distance values[hi],
+    # and no perfect matching lies within values[lo - 1].
     hi = _bottleneck_index(values, D, best)
+    candidates, values = candidates.cut(values[hi]), values[: hi + 1]
     while lo < hi:
         mid = (lo + hi) // 2
-        found = candidates.full_matching(values[mid])
-        if found is None:
-            lo = mid + 1
-        else:
+        found = candidates.matching(values[mid], best)
+        if np.all(found >= 0):
             best, hi = found, _bottleneck_index(values, D, found)
+        else:
+            lo = mid + 1
     return float(values[hi]), best
 
 
@@ -252,8 +306,8 @@ def _circle_matching(sample: PointSet, grid: PointSet, m: MetricSpec) -> Bottlen
         cols = _column_order(n)
         shuffled = E[:, cols]
         below = np.nextafter(lam, -math.inf)
-        found = _Candidates.within(shuffled, below).full_matching(below)
-        if found is not None:
+        found = _Candidates.within(shuffled, below).matching(below, None)
+        if np.all(found >= 0):
             lam, found = _search(shuffled, found)
             best = cols[found]
     assignment = np.empty(n, dtype=np.int64)

@@ -22,6 +22,7 @@ from rgg_spectra import cli, harness
 from rgg_spectra.cli import build_parser, main
 from rgg_spectra.geometry import INFINITY, sample_uniform
 from rgg_spectra.graph import build_adjacency
+from rgg_spectra.matching import bottleneck_matching
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -358,9 +359,10 @@ def test_bounds_command_and_replay(tmp_path):
         # The Lemma-4 terms are trial 0's: rebuild its two graphs and matching
         # here and evaluate the matrix form.
         assert payload["trace"] == float(trials_rows[1].split(",")[2])
-        A_X = build_adjacency(sample_uniform(cfg.n, cfg.d, harness.trial_seed(cfg.seed, 0)), cfg.r, cfg.metric)
-        A_D = harness.lattice_graph(cfg.N, cfg.d, cfg.p, cfg.r)[1]
-        terms, _ = lemma4_matrix_terms(A_X, A_D, harness.run_trial(cfg, 0).assignment, cfg.r, cfg.metric)
+        sample = sample_uniform(cfg.n, cfg.d, harness.trial_seed(cfg.seed, 0))
+        grid, A_D = harness.lattice_graph(cfg.N, cfg.d, cfg.p, cfg.r)
+        assignment = bottleneck_matching(sample, grid, cfg.metric).assignment
+        terms, _ = lemma4_matrix_terms(build_adjacency(sample, cfg.r, cfg.metric), A_D, assignment, cfg.r, cfg.metric)
         assert payload["trace"] == terms.t0
         assert payload["lemma4"] == {"t_degree": terms.t_degree, "t_L": terms.t_L, "t_aprime": terms.t_aprime}
         replayed = tmp_path / (name + "-replayed")

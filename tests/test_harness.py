@@ -53,8 +53,7 @@ def test_run_trial_invariants_and_determinism():
     cfg = ExperimentConfig(N=8, d=1, p=INFINITY, r=0.2, seed=11)
     first = run_trial(cfg, 0)
     second = run_trial(cfg, 0)
-    assert first == second  # the assignment array is excluded from comparison
-    assert np.array_equal(first.assignment, second.assignment)
+    assert first == second
     assert first.levy_cubed <= first.trace_bound + 1e-9
     assert first.m_n >= 0
     assert first.xi_n >= 0
@@ -150,8 +149,13 @@ def test_grid_sample_at_tie_radii_keeps_the_trace_bound(grid_as_sample):
 
 @pytest.mark.parametrize(
     "cfg",
-    [ExperimentConfig(N=16, d=1, p=INFINITY, r=0.3, seed=2), ExperimentConfig(N=6, d=2, p=2, r=0.3, seed=2)],
-    ids=["d1-linf", "d2-l2"],
+    [
+        ExperimentConfig(N=16, d=1, p=INFINITY, r=0.3, seed=2),
+        ExperimentConfig(N=6, d=2, p=2, r=0.3, seed=2),
+        ExperimentConfig(N=8, d=2, p=INFINITY, r=0.3, seed=3),
+        ExperimentConfig(N=4, d=3, p=1, r=0.4, seed=4),
+    ],
+    ids=["d1-linf", "d2-l2", "d2-linf", "d3-l1"],
 )
 def test_run_trials_parallel_matches_sequential(monkeypatch, cfg):
     monkeypatch.setenv("RGG_SPECTRA_THREADS", "1")

@@ -283,6 +283,81 @@ def test_plane_probe_edges_stay_below_the_dense_search(monkeypatch, p):
     assert 0 < seen["edges"] < oracle_seen["edges"]
 
 
+def _capture_probes(monkeypatch) -> list:
+    """Record each probe made through matching: its graph and the matching it returns."""
+    probes = []
+    original = matching.maximum_bipartite_matching
+
+    def captured(graph, **kwargs):
+        matched = original(graph, **kwargs)
+        probes.append((graph, matched))
+        return matched
+
+    monkeypatch.setattr(matching, "maximum_bipartite_matching", captured)
+    return probes
+
+
+def _layout_cases():
+    grid = grid_points(12, 2)
+    for p in (2, INFINITY):
+        for seed in range(3):
+            yield torus_distance_matrix(sample_uniform(grid.n, 2, 60 + seed), grid, MetricSpec(d=2, p=p))
+    sample, grid = _unbalanced_clusters()  # widens the cap twice or more
+    yield torus_distance_matrix(sample, grid, MetricSpec(d=2, p=2))
+
+
+def test_probes_list_the_warm_pair_first(monkeypatch):
+    # Every probe holds each row's threshold-graph columns, and a row whose
+    # warm pair is within the threshold lists that pair first, where scipy's
+    # greedy start takes it.  The warm matching is the previous probe's while
+    # no probe was feasible, then the last perfect one.
+    probes = _capture_probes(monkeypatch)
+    moved = 0
+    for D in _layout_cases():
+        n = D.shape[0]
+        probes.clear()
+        matching._search(D, None)
+        warm = None
+        for graph, matched in probes:
+            cold = D <= D[graph.nonzero()].max()
+            for i in range(n):
+                row = graph.indices[graph.indptr[i] : graph.indptr[i + 1]]
+                assert sorted(row) == list(np.flatnonzero(cold[i]))
+                if warm is not None and warm[i] >= 0 and cold[i, warm[i]]:
+                    assert row[0] == warm[i]
+                    moved += row[0] != np.flatnonzero(cold[i])[0]
+            if warm is None or np.any(warm < 0) or np.all(matched >= 0):
+                warm = matched
+    assert moved > 0  # the cold row-major layout would not pass
+
+
+@pytest.mark.parametrize("p", [1, 2, INFINITY], ids=["p1", "p2", "pinf"])
+def test_search_from_a_poor_perfect_matching(p):
+    m = MetricSpec(d=2, p=p)
+    grid = grid_points(10, 2)
+    rng = np.random.default_rng(8)
+    for seed in range(3):
+        sample = sample_uniform(grid.n, 2, 40 + seed)
+        D = torus_distance_matrix(sample, grid, m)
+        poor = rng.permutation(grid.n)
+        expected = bisection_bottleneck(sample, grid, m).m_n
+        assert D[np.arange(grid.n), poor].max() > 2 * expected
+        m_n, best = matching._search(D, poor)
+        assert m_n == expected
+        assert sorted(best) == list(range(grid.n))
+        assert D[np.arange(grid.n), best].max() == m_n
+
+
+@pytest.mark.parametrize("d,N,p", [(1, 8, INFINITY), (1, 64, 2), (2, 12, 2)], ids=["d1-probe", "d1-arc", "d2"])
+def test_repeated_matches_return_the_same_assignment(d, N, p):
+    grid, m = grid_points(N, d), MetricSpec(d=d, p=p)
+    for seed in range(3):
+        sample = sample_uniform(grid.n, d, 11 + seed)
+        first, second = bottleneck_matching(sample, grid, m), bottleneck_matching(sample, grid, m)
+        assert first.m_n == second.m_n
+        assert np.array_equal(first.assignment, second.assignment)
+
+
 @pytest.mark.parametrize("p", [1, 2, 3.5, INFINITY], ids=["p1", "p2", "p3.5", "pinf"])
 @pytest.mark.parametrize("d,N", [(1, 64), (2, 9), (3, 4)])
 def test_assignment_attains_the_returned_value(d, N, p):
