@@ -21,7 +21,6 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .bounds import check_matching_regime, check_tail_parameters, lemma1_degree_bound, lemma4_decomposition, lemma6_variance_bound, theorem1_rhs
@@ -84,7 +83,10 @@ def _p_for_manifest(p: float):
 def _manifest_text(command: str, opts: dict) -> str:
     """manifest.json: every option but --out (p as "inf" or a number, input
     files as absolute paths, so that a replay from any directory reads them),
-    plus versions."""
+    plus versions.  scipy is imported here for its version only, so that
+    importing the CLI does not load it."""
+    import scipy
+
     args = {key: _p_for_manifest(value) if key == "p" else value for key, value in opts.items() if key != "out"}
     args.update({key: str(Path(args[key]).resolve()) for key in ("input", "esd_a", "esd_b") if args.get(key) is not None})
     payload = {
@@ -355,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--d", type=int, required=True)
     gen.add_argument("--p", type=_parse_p, default=INFINITY)
     gen.add_argument("--r", type=float, required=True)
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=int, help="--n sample seed (default 0)")
 
     spec = sub.add_parser("spectrum", parents=[out], help="eigenvalues of a point-set graph or the analytic lattice")
     source = spec.add_mutually_exclusive_group(required=True)
@@ -404,6 +406,11 @@ def _parse(parser: argparse.ArgumentParser, argv: list[str] | None) -> tuple[str
     opts = vars(parser.parse_args(argv))
     command = opts.pop("command")
     error = _subparser(parser, command).error
+    if command == "generate":
+        if opts["N"] is not None and opts["seed"] is not None:
+            error("--seed is read only with --n")
+        if opts["N"] is None and opts["seed"] is None:
+            opts["seed"] = 0
     if command == "spectrum":
         if opts["dgg"] is None:
             if opts["method"] != "eig":

@@ -16,8 +16,6 @@ trial index, so every aggregate is reproducible bit-for-bit.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -86,7 +84,6 @@ class TrialResult:
     trace_bound: float
     m_n: float
     xi_n: int
-    esd_rgg: Esd
 
 
 # Each entry holds an n x n adjacency, so only a few configurations are kept.
@@ -134,40 +131,21 @@ def run_trial(cfg: ExperimentConfig, trial_index: int) -> TrialResult:
         trace_bound=trace_bound(A_X.entries, _aligned(A_D, bottleneck.assignment)),
         m_n=bottleneck.m_n,
         xi_n=int(A_X.degrees().sum()) // 2,
-        esd_rgg=esd_rgg,
     )
 
 
-def _worker_count() -> int:
-    """Trial workers from RGG_SPECTRA_THREADS: default 1, 0 for every core."""
-    raw = os.environ.get("RGG_SPECTRA_THREADS", "1")
-    try:
-        count = int(raw)
-    except ValueError:
-        count = -1
-    if count < 0:
-        raise ValueError(f"RGG_SPECTRA_THREADS must be a non-negative integer, got {raw!r}")
-    return count or os.cpu_count() or 1
-
-
 def run_trials(cfg: ExperimentConfig, trials: int, check=None) -> list[TrialResult]:
-    """All trial results in trial-index order (parallelism never reorders).
+    """All trial results, run one after another in trial-index order.
 
-    check, if given, is called on each result in that order as soon as it
-    is ready; an exception it raises stops the trials not yet started and
-    propagates.
+    check, if given, is called on each result before the next trial starts;
+    an exception it raises stops the trials and propagates.
     """
-    workers = _worker_count()
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
     results = []
-    try:
-        for result in (pool.map if pool else map)(lambda i: run_trial(cfg, i), range(trials)):
-            if check is not None:
-                check(result)
-            results.append(result)
-    finally:
-        if pool:
-            pool.shutdown(cancel_futures=True)
+    for index in range(trials):
+        result = run_trial(cfg, index)
+        if check is not None:
+            check(result)
+        results.append(result)
     return results
 
 

@@ -28,7 +28,8 @@ candidates within t, which is the whole threshold graph D <= t because t
 never exceeds the cap.  In d >= 2 the cap starts at 2 * lower, and the
 search gallops up from lower in steps of 64, 128, 256, ... distinct
 distances; a gallop that reaches the cap without a perfect matching widens
-the cap by half (up to the largest distance, where the graph is complete).
+the cap by half until it admits a new distance (up to the largest distance,
+where the graph is complete), so no threshold is probed twice.
 It then bisects the bracket below the first perfect matching, after cutting
 the candidates to that matching's largest distance.  The search keeps the
 best perfect matching found so far: every feasible probe lowers the upper
@@ -159,10 +160,11 @@ def _gallop(D: np.ndarray, lower: float) -> tuple[_Candidates, np.ndarray, int, 
         if np.all(found >= 0):
             return candidates, values, lo, found
         lo, step, warm = mid + 1, 2 * step, found
-        if lo == len(values):
-            # Infeasible at the cap: widen it.  The new distances all lie above
-            # the old ones, so lo keeps its place (if there are none, the next
-            # probe is at the cap again).
+        while lo == len(values):
+            # Infeasible at the cap: widen it until it admits a new distance,
+            # so no threshold is probed twice.  The new distances all lie
+            # above the old ones, so lo keeps its place.  The loop ends by the
+            # largest distance, where the graph is complete.
             top = D.max()
             cap = min(1.5 * cap, top) if cap > 0 else top
             candidates = _Candidates.within(D, cap)

@@ -267,6 +267,7 @@ def test_compare_plots_in_file_mode(tmp_path):
         (["compare", "--esd-a", "a.csv", "--esd-b", "b.csv", "--d", 1], "read only with --fig1"),
         (["compare", "--esd-a", "a.csv", "--esd-b", "b.csv", "--seed", 1], "read only with --fig1"),
         (["compare", "--fig1", "--esd-b", "b.csv"], "--esd-b needs --esd-a"),
+        (["generate", "--N", 5, "--d", 2, "--r", 0.21, "--seed", 5], "--seed is read only with --n"),
         (["spectrum", "--dgg", "8,1,0.25", "--r", 0.4, "--method", "closed"], "--r is read only with --input"),
         (["spectrum", "--dgg", "6,1,0.2", "--method", "closed", "--p", 2], "CLOSED_FORM_REQUIRES_LINF"),
         (["compare", "--esd-a", "a.csv", "--esd-b", "b.csv", "--oracle-step", 0.01], "--oracle-step is read only with --oracle"),
@@ -274,7 +275,7 @@ def test_compare_plots_in_file_mode(tmp_path):
         (["compare", "--fig1", "--oracle", "--oracle-step", -1], "--oracle-step must be positive, got -1.0"),
         (["compare", "--fig1", "--oracle", "--oracle-step", "nan"], "--oracle-step must be positive, got nan"),
     ],
-    ids=["files-n", "files-d", "files-seed", "fig1-esd-b", "dgg-r", "closed-p2", "step-without-oracle", "step-zero", "step-negative", "step-nan"],
+    ids=["files-n", "files-d", "files-seed", "fig1-esd-b", "grid-seed", "dgg-r", "closed-p2", "step-without-oracle", "step-zero", "step-negative", "step-nan"],
 )
 def test_options_a_mode_never_reads_are_refused(tmp_path, capsys, argv, message):
     """Refused through the subcommand's parser: its usage line and prog."""
@@ -582,14 +583,13 @@ def test_readme_calls_bind_to_signatures():
 
 def test_readme_names_resolve():
     """Every backticked bare identifier in the README that starts with a
-    capital letter is an attribute of some rgg_spectra module; the one
-    environment variable is the exception."""
+    capital letter is an attribute of some rgg_spectra module."""
     modules = [rgg_spectra] + [
         importlib.import_module(f"rgg_spectra.{info.name}")
         for info in pkgutil.iter_modules(rgg_spectra.__path__)
         if info.name != "__main__"
     ]
-    names = set(re.findall(r"`([A-Z]\w*)`", README.read_text())) - {"RGG_SPECTRA_THREADS"}
+    names = set(re.findall(r"`([A-Z]\w*)`", README.read_text()))
     missing = sorted(name for name in names if not any(hasattr(module, name) for module in modules))
     assert not missing, f"README names {missing}, which no rgg_spectra module defines"
     assert len(names) >= 10

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 import pytest
@@ -58,7 +57,7 @@ def test_run_trial_invariants_and_determinism():
     assert first.m_n >= 0
     assert first.xi_n >= 0
     different = run_trial(cfg, 1)
-    assert different.esd_rgg.eigenvalues.shape == first.esd_rgg.eigenvalues.shape
+    assert different != first and 0 <= different.xi_n <= cfg.n * (cfg.n - 1) // 2
 
 
 def test_run_trial_checks_the_lattice_before_sampling(monkeypatch):
@@ -157,40 +156,36 @@ def test_grid_sample_at_tie_radii_keeps_the_trace_bound(grid_as_sample):
     ],
     ids=["d1-linf", "d2-l2", "d2-linf", "d3-l1"],
 )
-def test_run_trials_parallel_matches_sequential(monkeypatch, cfg):
-    monkeypatch.setenv("RGG_SPECTRA_THREADS", "1")
-    sequential = run_trials(cfg, 6)
-    # Empty the lattice caches so the threads fill them concurrently.
-    harness.lattice_graph.cache_clear()
-    harness._dgg_esd.cache_clear()
-    monkeypatch.setenv("RGG_SPECTRA_THREADS", "3")
-    threaded = run_trials(cfg, 6)
-    assert sequential == threaded
-
-
-def test_worker_count_reads_a_non_negative_integer(monkeypatch):
-    for raw in ("abc", "-1"):
+def test_run_trials_repeat_bit_for_bit_and_read_no_thread_variable(monkeypatch, cfg):
+    monkeypatch.delenv("RGG_SPECTRA_THREADS", raising=False)
+    first = run_trials(cfg, 6)
+    # Trials read no environment variable: any thread count there, a
+    # malformed one included, leaves them unchanged.  Each rerun rebuilds the
+    # cached lattice too.
+    for raw in ("3", "abc"):
+        harness.lattice_graph.cache_clear()
+        harness._dgg_esd.cache_clear()
         monkeypatch.setenv("RGG_SPECTRA_THREADS", raw)
-        with pytest.raises(ValueError, match="non-negative integer"):
-            harness._worker_count()
-    monkeypatch.setenv("RGG_SPECTRA_THREADS", "0")
-    assert harness._worker_count() == os.cpu_count()
+        assert run_trials(cfg, 6) == first, raw
 
 
-@pytest.mark.parametrize("threads", ["1", "3"])
-def test_run_trials_check_stops_at_the_first_rejected_trial(monkeypatch, threads):
-    monkeypatch.setenv("RGG_SPECTRA_THREADS", threads)
+@pytest.mark.parametrize("rejected", [1, 3])
+def test_run_trials_check_stops_at_the_first_rejected_trial(monkeypatch, rejected):
     cfg = ExperimentConfig(N=8, d=1, p=INFINITY, r=0.3, seed=0)
     seen = []
+    ran = []
+    run_trial = harness.run_trial
+    monkeypatch.setattr(harness, "run_trial", lambda cfg, i: ran.append(i) or run_trial(cfg, i))
 
     def check(result):
         seen.append(result)
-        if len(seen) == 2:
+        if len(seen) == rejected + 1:
             raise ValueError("rejected")
 
     with pytest.raises(ValueError, match="rejected"):
         run_trials(cfg, 6, check=check)
-    assert seen == run_trials(cfg, 2)
+    assert ran == list(range(rejected + 1))
+    assert seen == run_trials(cfg, rejected + 1)
 
 
 def test_probability_estimates():

@@ -219,16 +219,13 @@ def test_plane_match_probes_no_more_than_plain_bisection(monkeypatch):
 
 
 def _count_edges(monkeypatch, module) -> dict:
-    """Count the probes made through module and the edges they carry."""
-    seen = {"probes": 0, "edges": 0, "feasible": []}
+    """Count the edges carried by the probes made through module."""
+    seen = {"edges": 0}
     original = module.maximum_bipartite_matching
 
     def counted(graph, **kwargs):
-        matched = original(graph, **kwargs)
-        seen["probes"] += 1
         seen["edges"] += graph.nnz
-        seen["feasible"].append(bool(np.all(matched >= 0)))
-        return matched
+        return original(graph, **kwargs)
 
     monkeypatch.setattr(module, "maximum_bipartite_matching", counted)
     return seen
@@ -244,7 +241,7 @@ def _unbalanced_clusters() -> tuple[PointSet, PointSet]:
 
 
 def test_search_widens_when_twice_the_lower_bound_is_infeasible(monkeypatch):
-    seen = _count_edges(monkeypatch, matching)
+    probes = _capture_probes(monkeypatch)
     sample, grid = _unbalanced_clusters()
     m = MetricSpec(d=2, p=2)
     D = torus_distance_matrix(sample, grid, m)
@@ -252,11 +249,13 @@ def test_search_widens_when_twice_the_lower_bound_is_infeasible(monkeypatch):
     result = bottleneck_matching(sample, grid, m)
     assert result.m_n == brute_bottleneck(sample, grid, m)
     assert result.m_n > 2 * lower
-    # The first probe holds every pair within 2 * lower and fails; without
-    # widening, one feasible probe plus a bisection of the n^2 distances would
-    # make at most 1 + ceil(log2(n^2)) probes.
-    assert not seen["feasible"][0]
-    assert seen["probes"] > 1 + math.ceil(math.log2(sample.n**2))
+    # The first probe holds every pair within 2 * lower and fails; a later
+    # probe must reach past that cap, and widening never repeats a threshold.
+    shuffled = D[:, matching._column_order(sample.n)]
+    thresholds = [shuffled[graph.nonzero()].max() for graph, _ in probes]
+    assert np.any(probes[0][1] < 0)
+    assert max(thresholds) > 2 * lower
+    assert len(set(thresholds)) == len(thresholds)
     assert D[np.arange(sample.n), result.assignment].max() == result.m_n
 
 
@@ -419,11 +418,13 @@ def test_circle_match_at_n_1024_does_not_stall(seed, p):
     _in_child(_CHILD_MATCH, 1024, 1, p, seed)
 
 
+# Importing the package and its CLI loads neither scipy nor a thread pool.
 # Figure 1 and d = 1 trials make no probe, so they must not load scipy's
 # sparse stack; the first d = 2 match loads it for its probes.
 _CHILD_COLD_START = """
 import sys
 import rgg_spectra, rgg_spectra.cli
+assert not {"scipy", "concurrent.futures"} & set(sys.modules), "imported with the package"
 from rgg_spectra.geometry import INFINITY, MetricSpec, grid_points, sample_uniform
 from rgg_spectra.harness import ExperimentConfig, figure1_experiment, run_trials
 from rgg_spectra.matching import bottleneck_matching
