@@ -2,7 +2,7 @@
 
 The package builds geometric graphs from uniform samples or regular grids
 on [0, 1)^d with wrap-around l_p metrics, computes adjacency spectra
-(dense eigensolver, analytic product form, or DFT of the circulant symbol),
+(dense eigensolver for sampled graphs, DFT of the offset band for lattices),
 measures Levy distance between empirical spectral distributions, solves the
 bottleneck point-to-grid matching, and evaluates the concentration bounds
 that tie those quantities together.
@@ -20,7 +20,7 @@ from .bounds import (
     lemma6_variance_bound,
     theorem1_rhs,
 )
-from .dgg import ANALYTIC_RANGE_EXCEEDED, AnalyticRangeError, DggSpec, dgg_band, dgg_degree, dgg_eigenvalues_closed_form, dgg_eigenvalues_dft, dgg_spec
+from .dgg import ANALYTIC_RANGE_EXCEEDED, AnalyticRangeError, DggSpec, dgg_band, dgg_degree, dgg_eigenvalues_dft, dgg_spec
 from .geometry import (
     INFINITY,
     MAX_PAIRWISE_BYTES,
@@ -46,7 +46,7 @@ from .harness import (
     run_trials,
     trial_seed,
 )
-from .levy import LevyResult, levy_distance, levy_distance_oracle, trace_bound
+from .levy import levy_distance, levy_distance_oracle, trace_bound
 from .matching import BottleneckResult, bottleneck_matching, bottleneck_rate_envelope
 from .spectra import MAX_EIG_ORDER, Esd, esd_eval, esd_from_eigenvalues, sym_eigenvalues, twin_classes
 
@@ -62,7 +62,6 @@ __all__ = [
     "Figure1Result",
     "INFINITY",
     "Lemma4Terms",
-    "LevyResult",
     "MAX_EIG_ORDER",
     "MAX_PAIRWISE_BYTES",
     "MetricSpec",
@@ -76,7 +75,6 @@ __all__ = [
     "build_adjacency",
     "dgg_band",
     "dgg_degree",
-    "dgg_eigenvalues_closed_form",
     "dgg_eigenvalues_dft",
     "dgg_spec",
     "edge_list_text",

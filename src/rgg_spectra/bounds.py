@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .geometry import INFINITY, MetricSpec, average_degree, ball_volume_theta
 
-# Unused here; perfbench wraps them here until ROADMAP item 3.
+# Unused here; perfbench wraps them here until ROADMAP item 4.
 from .graph import build_adjacency  # noqa: F401
 from .levy import levy_distance  # noqa: F401
 from .spectra import sym_eigenvalues  # noqa: F401

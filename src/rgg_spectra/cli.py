@@ -24,9 +24,9 @@ import numpy as np
 
 from . import __version__
 from .bounds import check_matching_regime, check_tail_parameters, lemma1_degree_bound, lemma4_decomposition, lemma6_variance_bound, theorem1_rhs
-from .dgg import dgg_band, dgg_eigenvalues_closed_form, dgg_eigenvalues_dft, dgg_spec
+from .dgg import dgg_band, dgg_eigenvalues_dft
 from .geometry import INFINITY, MetricSpec, PointSet, average_degree, sample_uniform
-from .geometry import grid_points  # noqa: F401  perfbench wraps it here until ROADMAP item 3
+from .geometry import grid_points  # noqa: F401  perfbench wraps it here until ROADMAP item 4
 from .graph import build_adjacency, edge_list_text
 from .harness import (
     ExperimentConfig,
@@ -36,10 +36,9 @@ from .harness import (
     run_trials,
 )
 from .levy import levy_distance, levy_distance_oracle
-from .matching import bottleneck_matching  # noqa: F401  perfbench wraps it here until ROADMAP item 3
+from .matching import bottleneck_matching  # noqa: F401  perfbench wraps it here until ROADMAP item 4
 from .spectra import Esd, _check_order, esd_eval, esd_from_eigenvalues, sym_eigenvalues
 
-CLOSED_FORM_REQUIRES_LINF = "CLOSED_FORM_REQUIRES_LINF"
 # Figure1Result's array fields: cdf_table.csv and cdf.svg carry them, and
 # compare.json every other field.
 _FIG1_ARRAYS = ("x", "cdf_rgg", "cdf_dgg", "esd_rgg", "esd_dgg")
@@ -185,16 +184,9 @@ def cmd_generate(opts: dict) -> dict[str, str]:
 
 
 def cmd_spectrum(opts: dict) -> dict[str, str]:
-    method, plot = opts["method"], opts["plot"]
     if opts.get("dgg") is not None:
         N, d, r = opts["dgg"]
-        if method == "closed":
-            values = dgg_eigenvalues_closed_form(dgg_spec(N, d, r))
-        elif method == "dft":
-            values = dgg_eigenvalues_dft(N, d, opts["p"], r)
-        else:
-            _check_order(N**d)
-            values = sym_eigenvalues(lattice_graph(N, d, opts["p"], r)[1])
+        values = dgg_eigenvalues_dft(N, d, opts["p"], r)
     else:
         coords = _read_csv(opts["input"])
         points = PointSet(d=coords.shape[1], coords=coords, kind="sample")
@@ -202,7 +194,7 @@ def cmd_spectrum(opts: dict) -> dict[str, str]:
         metric = MetricSpec(d=points.d, p=opts["p"])
         values = sym_eigenvalues(build_adjacency(points, opts["r"], metric))
     files = {"eigenvalues.csv": _csv_text(["eigenvalue"], [values])}
-    if plot:
+    if opts["plot"]:
         files["cdf.svg"] = _svg_step_plot([esd_from_eigenvalues(values)], "spectral CDF")
     return files
 
@@ -222,7 +214,7 @@ def cmd_compare(opts: dict) -> dict[str, str]:
             raise CliError(f"--esd-a/--esd-b need one eigenvalue column each, got {table_a.shape[1]} and {table_b.shape[1]}")
         esd_a, esd_b = esd_from_eigenvalues(table_a[:, 0]), esd_from_eigenvalues(table_b[:, 0])
         title = "CDFs of --esd-a and --esd-b"
-        payload = {"levy": levy_distance(esd_a, esd_b).distance}
+        payload = {"levy": levy_distance(esd_a, esd_b)}
     if plot:
         files["cdf.svg"] = _svg_step_plot([esd_a, esd_b], title)
     payload["levy_cubed"] = payload["levy"] ** 3
@@ -241,7 +233,7 @@ def cmd_bounds(opts: dict) -> dict[str, str]:
     check_tail_parameters(cfg.t, cfg.a)
     r = cfg.r
     results = run_trials(cfg, cfg.trials, check=lambda result: check_matching_regime(r, result.m_n))
-    p_hat, stderr = probability_from_results(results, cfg.t, cfg.trials)
+    p_hat, stderr = probability_from_results(results, cfg.t)
     m_n_max = max(result.m_n for result in results)
     n = cfg.n
     a_n = average_degree(n, cfg.d, r)
@@ -363,7 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     source = spec.add_mutually_exclusive_group(required=True)
     source.add_argument("--input", help="points.csv to build a graph from")
     source.add_argument("--dgg", type=_parse_dgg, metavar="N,d,r")
-    spec.add_argument("--method", choices=("eig", "closed", "dft"), required=True)
     spec.add_argument("--p", type=_parse_p, default=INFINITY)
     spec.add_argument("--r", type=float, help="radius for --input (a --dgg lattice carries its own)")
     spec.add_argument("--plot", action="store_true")
@@ -402,25 +393,24 @@ def _subparser(parser: argparse.ArgumentParser, command: str) -> argparse.Argume
 
 def _parse(parser: argparse.ArgumentParser, argv: list[str] | None) -> tuple[str, dict]:
     """The command and options of a command line, converted by the parser; an
-    option its mode never reads is refused (exit 2), not ignored and recorded."""
-    opts = vars(parser.parse_args(argv))
+    option its mode never reads is refused (exit 2), not ignored and recorded,
+    and an unknown one by its subcommand's parser."""
+    namespace, unknown = parser.parse_known_args(argv)
+    opts = vars(namespace)
     command = opts.pop("command")
     error = _subparser(parser, command).error
+    if unknown:
+        error(f"unrecognized arguments: {' '.join(unknown)}")
     if command == "generate":
         if opts["N"] is not None and opts["seed"] is not None:
             error("--seed is read only with --n")
         if opts["N"] is None and opts["seed"] is None:
             opts["seed"] = 0
     if command == "spectrum":
-        if opts["dgg"] is None:
-            if opts["method"] != "eig":
-                error(f"--method {opts['method']} needs a --dgg lattice")
-            if opts["r"] is None:
-                error("--input mode needs --r")
-        elif opts["r"] is not None:
+        if opts["dgg"] is None and opts["r"] is None:
+            error("--input mode needs --r")
+        if opts["dgg"] is not None and opts["r"] is not None:
             error("--r is read only with --input; a --dgg lattice carries its own radius")
-        if opts["method"] == "closed" and opts["p"] != INFINITY:
-            error(f"{CLOSED_FORM_REQUIRES_LINF}: the closed-form lattice spectrum needs p = inf")
     if command == "compare":
         fig1_defaults = {"n": 2000, "d": 1, "seed": 1}
         if opts["fig1"]:

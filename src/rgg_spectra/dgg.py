@@ -9,7 +9,8 @@ Under l_infinity the band is the cube of reach k (the largest k with
 k/N <= r), the degree is (2k+1)^d - 1 and the DFT factors into a product of
 Dirichlet-kernel ratios (dgg_eigenvalues_closed_form); that product is only
 the graph's spectrum while the cube does not wrap onto itself, 2k+1 <= N.
-The package's lattice spectrum is the DFT; the product is its check route.
+Every lattice spectrum the package reports (the trials, Figure 1 and
+`spectrum --dgg`) is the DFT; the product is the tests' check route.
 """
 
 from __future__ import annotations

@@ -7,8 +7,7 @@ for every p), and evaluates the bottleneck matching and the trace bound.
 The lattice graph and its spectrum both come from dgg.dgg_band and depend
 only on (N, d, p, r), so they are built once per configuration and cached;
 only the random graph is rebuilt per trial.  The l_infinity closed form is
-only a check route (the CLI's --method closed and the tests);
-figure1_experiment still reports its reach k.
+only the tests' check route; figure1_experiment still reports its reach k.
 Per-trial seeds are a documented splitmix64 mix of the master seed and the
 trial index, so every aggregate is reproducible bit-for-bit.
 """
@@ -22,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .dgg import dgg_band, dgg_eigenvalues_dft, dgg_spec
-from .dgg import dgg_eigenvalues_closed_form  # noqa: F401  perfbench wraps it here until ROADMAP item 3
+from .dgg import dgg_eigenvalues_closed_form  # noqa: F401  perfbench wraps it here until ROADMAP item 4
 from .geometry import INFINITY, MetricSpec, PointSet, average_degree, grid_points, sample_uniform
 from .graph import AdjacencyMatrix, _aligned, _refuse_dense, build_adjacency
 from .levy import levy_distance, trace_bound
@@ -124,7 +123,7 @@ def run_trial(cfg: ExperimentConfig, trial_index: int) -> TrialResult:
     sample = sample_uniform(n, cfg.d, trial_seed(cfg.seed, trial_index))
     A_X = build_adjacency(sample, r, metric)
     esd_rgg = esd_from_eigenvalues(sym_eigenvalues(A_X))
-    levy = levy_distance(esd_rgg, esd_dgg).distance
+    levy = levy_distance(esd_rgg, esd_dgg)
     bottleneck = bottleneck_matching(sample, grid, metric)
     return TrialResult(
         levy_cubed=levy**3,
@@ -151,15 +150,13 @@ def run_trials(cfg: ExperimentConfig, trials: int, check=None) -> list[TrialResu
 
 def estimate_probability(cfg: ExperimentConfig, trials: int) -> tuple[float, float]:
     """Monte Carlo estimate of P{L^3 > t} with its binomial standard error."""
-    results = run_trials(cfg, trials)
-    return probability_from_results(results, cfg.t, trials)
+    return probability_from_results(run_trials(cfg, trials), cfg.t)
 
 
-def probability_from_results(results: list[TrialResult], t: float, trials: int) -> tuple[float, float]:
-    """p_hat and stderr for P{L^3 > t} from already-computed trials."""
-    exceed = sum(1 for res in results[:trials] if res.levy_cubed > t)
-    p_hat = exceed / trials
-    stderr = math.sqrt(p_hat * (1.0 - p_hat) / trials)
+def probability_from_results(results: list[TrialResult], t: float) -> tuple[float, float]:
+    """p_hat and stderr for P{L^3 > t}, counted over the given trials."""
+    p_hat = sum(res.levy_cubed > t for res in results) / len(results)
+    stderr = math.sqrt(p_hat * (1.0 - p_hat) / len(results))
     return p_hat, stderr
 
 
@@ -218,7 +215,7 @@ def figure1_experiment(n: int = 2000, d: int = 1, seed: int = 1) -> Figure1Resul
         x=x,
         cdf_rgg=esd_eval(esd_rgg, x),
         cdf_dgg=esd_eval(esd_dgg, x),
-        levy=levy_distance(esd_rgg, esd_dgg).distance,
+        levy=levy_distance(esd_rgg, esd_dgg),
         n=n,
         d=d,
         r=r,

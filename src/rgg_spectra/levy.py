@@ -15,20 +15,11 @@ distance is the largest of these levels, or 0 when none is positive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .graph import AdjacencyMatrix
 from .spectra import Esd
-
-
-@dataclass(frozen=True)
-class LevyResult:
-    """Distance plus a diagnostic x where feasibility is tight (NaN at 0)."""
-
-    distance: float
-    certificate_x: float
 
 
 def _atom_levels(f: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -49,21 +40,11 @@ def _atom_levels(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     return np.minimum(reach, own - k / ng)
 
 
-def levy_distance(F: Esd, G: Esd) -> LevyResult:
-    """Levy distance between two ESDs, exact up to rounding, in one pass.
-
-    The certificate is the atom whose inequality sets the distance.
-    """
+def levy_distance(F: Esd, G: Esd) -> float:
+    """Levy distance between two ESDs, exact up to rounding, in one pass."""
     f, g = F.eigenvalues, G.eigenvalues
-    levels_f, levels_g = _atom_levels(f, g), _atom_levels(g, f)
-    i, j = int(np.argmax(levels_f)), int(np.argmax(levels_g))
-    if levels_f[i] >= levels_g[j]:
-        distance, certificate = levels_f[i], f[i]
-    else:
-        distance, certificate = levels_g[j], g[j]
-    if not distance > 0:
-        return LevyResult(distance=0.0, certificate_x=math.nan)
-    return LevyResult(distance=float(distance), certificate_x=float(certificate))
+    distance = max(_atom_levels(f, g).max(), _atom_levels(g, f).max())
+    return float(distance) if distance > 0 else 0.0
 
 
 def levy_distance_oracle(F: Esd, G: Esd, grid_step: float = 1e-3) -> float:

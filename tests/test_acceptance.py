@@ -74,9 +74,7 @@ def test_criterion_03_trace_bound_property_suite():
         n = int(rng.integers(2, 51))
         a = AdjacencyMatrix(entries=random_symmetric_01(n, float(rng.uniform(0.05, 0.95)), rng))
         b = AdjacencyMatrix(entries=random_symmetric_01(n, float(rng.uniform(0.05, 0.95)), rng))
-        levy = levy_distance(
-            esd_from_eigenvalues(sym_eigenvalues(a)), esd_from_eigenvalues(sym_eigenvalues(b))
-        ).distance
+        levy = levy_distance(esd_from_eigenvalues(sym_eigenvalues(a)), esd_from_eigenvalues(sym_eigenvalues(b)))
         margin = levy**3 - trace_bound(a, b)
         worst_margin = max(worst_margin, margin)
     ok = worst_margin <= 1e-9
@@ -90,7 +88,7 @@ def test_criterion_04_levy_oracle_equivalence():
     for _ in range(50):
         f = esd_from_eigenvalues(rng.uniform(-2.5, 2.5, size=int(rng.integers(1, 21))))
         g = esd_from_eigenvalues(rng.uniform(-2.5, 2.5, size=int(rng.integers(1, 21))))
-        exact = levy_distance(f, g).distance
+        exact = levy_distance(f, g)
         grid = levy_distance_oracle(f, g, 1e-3)
         worst = max(worst, abs(exact - grid))
     ok = worst <= 2e-3
@@ -167,7 +165,7 @@ def test_criterion_07_decomposition_identity():
         _, t1 = lemma4_matrix_terms(A_X, A_D, matching, r, m)
         esd_x, esd_d = (esd_from_eigenvalues(sym_eigenvalues(A)) for A in (A_X, A_D))
         worst_gap = max(worst_gap, abs(t0 - t1))
-        worst_chain = max(worst_chain, levy_distance(esd_x, esd_d).distance ** 3 - t0)
+        worst_chain = max(worst_chain, levy_distance(esd_x, esd_d) ** 3 - t0)
     ok = worst_gap <= 1e-9 and worst_chain <= 1e-9
     _verdict(7, ok, f"50 instances, max |T0 - T1| = {worst_gap:.3e}, max(L^3 - T0) = {worst_chain:.3e}")
     assert ok
@@ -197,7 +195,7 @@ def test_criterion_08_tail_bound_domination():
             lines.append(f"(d={d},N={N}) bound vacuous at every t, reported not failed")
             continue
         t, report = chosen
-        p_hat, stderr = probability_from_results(results, t, trials)
+        p_hat, stderr = probability_from_results(results, t)
         dominated = p_hat <= report.total + 3.0 * stderr
         if not dominated:
             failures.append((d, N, t, p_hat, report.total, stderr))
@@ -237,7 +235,7 @@ def test_criterion_10_manifest_replay_determinism(tmp_path):
     runs = {
         "gen-sample": ["generate", "--n", 40, "--d", 2, "--p", 2, "--r", 0.3, "--seed", 7],
         "gen-grid": ["generate", "--N", 5, "--d", 2, "--p", "inf", "--r", 0.21],
-        "spectrum-closed": ["spectrum", "--dgg", "8,2,0.25", "--method", "closed", "--plot"],
+        "spectrum-dgg": ["spectrum", "--dgg", "8,2,0.25", "--plot"],
         "compare-fig": ["compare", "--fig1", "--n", 256, "--d", 1, "--seed", 3, "--plot"],
         "bounds": ["bounds", "--N", 16, "--d", 1, "--r", 0.499, "--t", 1000, "--trials", 4, "--seed", 0],
     }
@@ -258,7 +256,7 @@ def test_criterion_10_manifest_replay_determinism(tmp_path):
     points = tmp_path / "gen-sample" / "points.csv"
     first = tmp_path / "spectrum-points"
     second = tmp_path / "spectrum-points-replayed"
-    assert _run_cli(["spectrum", "--input", points, "--method", "eig", "--p", 2, "--r", 0.3, "--out", first]) == 0
+    assert _run_cli(["spectrum", "--input", points, "--p", 2, "--r", 0.3, "--out", first]) == 0
     assert _run_cli(["replay", "--manifest", first / "manifest.json", "--out", second]) == 0
     compared += 1
     if (first / "eigenvalues.csv").read_bytes() != (second / "eigenvalues.csv").read_bytes():

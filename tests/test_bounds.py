@@ -26,7 +26,7 @@ from rgg_spectra.spectra import esd_from_eigenvalues, sym_eigenvalues
 def _levy_cubed(A_X, A_D) -> float:
     """Cubed Levy distance between the two adjacency spectra."""
     esd_x, esd_d = (esd_from_eigenvalues(sym_eigenvalues(A)) for A in (A_X, A_D))
-    return levy_distance(esd_x, esd_d).distance ** 3
+    return levy_distance(esd_x, esd_d) ** 3
 
 
 def test_degree_bound_examples():

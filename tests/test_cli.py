@@ -20,6 +20,7 @@ import rgg_spectra
 from oracles import lemma4_matrix_terms
 from rgg_spectra import cli, harness
 from rgg_spectra.cli import build_parser, main
+from rgg_spectra.dgg import dgg_eigenvalues_dft
 from rgg_spectra.geometry import INFINITY, sample_uniform
 from rgg_spectra.graph import build_adjacency
 from rgg_spectra.matching import bottleneck_matching
@@ -79,53 +80,49 @@ def test_generate_same_flags_are_byte_identical(tmp_path):
 
 def test_spectrum_closed_form_ring(tmp_path):
     out = tmp_path / "sp"
-    assert _run(["spectrum", "--dgg", "4,1,0.25", "--method", "closed", "--out", out]) == 0
+    assert _run(["spectrum", "--dgg", "4,1,0.25", "--out", out]) == 0
     rows = (out / "eigenvalues.csv").read_text().splitlines()
     assert rows[0] == "eigenvalue"
     values = np.array([float(v) for v in rows[1:]])
     assert np.allclose(values, [-2.0, 0.0, 0.0, 2.0], atol=1e-12)
 
 
-def test_spectrum_methods_agree(tmp_path):
-    for dgg, p, methods in (("6,2,0.2", "inf", ("eig", "closed", "dft")), ("24,2,0.25", "2", ("eig", "dft"))):
-        outs = {}
-        for method in methods:
-            out = tmp_path / f"{dgg}-{p}-{method}"
-            assert _run(["spectrum", "--dgg", dgg, "--p", p, "--method", method, "--out", out]) == 0
-            outs[method] = np.loadtxt(out / "eigenvalues.csv", skiprows=1)
-        for method in methods[1:]:
-            assert np.max(np.abs(outs[method] - outs["eig"])) <= 1e-8
-        if "closed" in outs:
-            assert np.max(np.abs(outs["closed"] - outs["dft"])) <= 1e-9
-
-
-def test_spectrum_closed_form_requires_linf(tmp_path, capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        _run(["spectrum", "--dgg", "6,1,0.2", "--method", "closed", "--p", 2, "--out", tmp_path])
-    assert excinfo.value.code == 2
-    assert "CLOSED_FORM_REQUIRES_LINF" in capsys.readouterr().err
+def test_spectrum_dgg_writes_the_dft_spectrum(tmp_path):
+    """The .17g cells read back as the very doubles dgg_eigenvalues_dft returns;
+    tests/test_dgg.py checks those against the closed form and an eigensolve.
+    At 4,1,0.5 the cube wraps (2k+1 > N), the closed form does not apply, and
+    the lattice is K4."""
+    for N, d, r, p in ((6, 2, 0.2, "inf"), (24, 2, 0.25, "2"), (4, 1, 0.5, "inf")):
+        out = tmp_path / f"{N}-{d}-{p}"
+        assert _run(["spectrum", "--dgg", f"{N},{d},{r}", "--p", p, "--out", out]) == 0
+        written = np.loadtxt(out / "eigenvalues.csv", skiprows=1)
+        expected = dgg_eigenvalues_dft(N, d, INFINITY if p == "inf" else float(p), r)
+        assert written.tobytes() == expected.tobytes()
+    assert np.allclose(written, [-1.0, -1.0, -1.0, 3.0], atol=1e-12)
 
 
 def test_spectrum_from_points_file(tmp_path):
     gen = tmp_path / "gen"
     assert _run(["generate", "--n", 12, "--d", 2, "--p", 2, "--r", 0.3, "--seed", 1, "--out", gen]) == 0
     out = tmp_path / "sp"
-    assert _run(["spectrum", "--input", gen / "points.csv", "--method", "eig", "--p", 2, "--r", 0.3, "--plot", "--out", out]) == 0
+    assert _run(["spectrum", "--input", gen / "points.csv", "--p", 2, "--r", 0.3, "--plot", "--out", out]) == 0
     rows = (out / "eigenvalues.csv").read_text().splitlines()
     assert len(rows) == 13
     assert (out / "cdf.svg").read_text().startswith("<svg ")
 
 
 def test_spectrum_from_points_refuses_the_lattice_methods(tmp_path, capsys):
+    """No --method is left to choose a route: the spectrum parser refuses it."""
     gen = tmp_path / "gen"
     assert _run(["generate", "--n", 12, "--d", 1, "--r", 0.3, "--out", gen]) == 0
-    for method in ("dft", "closed"):
+    for method in ("dft", "closed", "eig"):
         with pytest.raises(SystemExit) as excinfo:
             _run(["spectrum", "--input", gen / "points.csv", "--method", method, "--r", 0.3, "--out", tmp_path / method])
         assert excinfo.value.code == 2
-        err = capsys.readouterr().err
-        assert f"--method {method} needs a --dgg lattice" in err
-        assert "CLOSED_FORM_REQUIRES_LINF" not in err
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[0].startswith("usage: rgg-spectra spectrum ")
+        assert lines[-1] == f"rgg-spectra spectrum: error: unrecognized arguments: --method {method}"
+        assert not (tmp_path / method).exists()
 
 
 def _refuse_graph_building(monkeypatch):
@@ -140,10 +137,9 @@ def _refuse_graph_building(monkeypatch):
     "argv",
     [
         ["compare", "--fig1", "--n", 6000],
-        ["spectrum", "--input", "points.csv", "--r", 0.01, "--method", "eig"],
-        ["spectrum", "--dgg", "80,2,0.05", "--p", 2, "--method", "eig"],
+        ["spectrum", "--input", "points.csv", "--r", 0.01],
     ],
-    ids=["fig1", "input", "dgg-eig"],
+    ids=["fig1", "input"],
 )
 def test_orders_past_the_eigensolver_ceiling_fail_before_the_graph_is_built(tmp_path, capsys, monkeypatch, argv):
     _refuse_graph_building(monkeypatch)
@@ -155,16 +151,16 @@ def test_orders_past_the_eigensolver_ceiling_fail_before_the_graph_is_built(tmp_
 
 def test_lattice_spectra_past_the_eigensolver_ceiling_need_no_graph(tmp_path, monkeypatch):
     _refuse_graph_building(monkeypatch)
-    for p, method in (("2", "dft"), ("inf", "closed")):
-        out = tmp_path / method
-        assert _run(["spectrum", "--dgg", "80,2,0.05", "--p", p, "--method", method, "--out", out]) == 0
+    for p in ("2", "inf"):
+        out = tmp_path / p
+        assert _run(["spectrum", "--dgg", "80,2,0.05", "--p", p, "--out", out]) == 0
         assert len((out / "eigenvalues.csv").read_text().splitlines()) == 1 + 80 * 80
 
 
 def test_spectrum_parse_error_reports_line(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("x1\n0.5\noops\n")
-    rc = _run(["spectrum", "--input", bad, "--method", "eig", "--r", 0.2, "--out", tmp_path])
+    rc = _run(["spectrum", "--input", bad, "--r", 0.2, "--out", tmp_path])
     assert rc == 2
     assert f"{bad}:3" in capsys.readouterr().err
 
@@ -181,7 +177,7 @@ def test_spectrum_parse_error_reports_line(tmp_path, capsys):
 def test_spectrum_points_file_errors(tmp_path, capsys, text, message, code):
     path = tmp_path / "points.csv"
     path.write_text(text)
-    rc = _run(["spectrum", "--input", path, "--method", "eig", "--r", 0.2, "--out", tmp_path / "out"])
+    rc = _run(["spectrum", "--input", path, "--r", 0.2, "--out", tmp_path / "out"])
     assert rc == code
     assert message.format(path=path) in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
@@ -210,7 +206,7 @@ def test_replay_reads_its_inputs_from_any_directory(tmp_path, monkeypatch):
     (tmp_path / "elsewhere").mkdir()
     monkeypatch.chdir(tmp_path)
     assert _run(["generate", "--n", 12, "--d", 2, "--p", 2, "--r", 0.3, "--out", "gen"]) == 0
-    assert _run(["spectrum", "--input", "gen/points.csv", "--method", "eig", "--p", 2, "--r", 0.3, "--plot", "--out", "sp"]) == 0
+    assert _run(["spectrum", "--input", "gen/points.csv", "--p", 2, "--r", 0.3, "--plot", "--out", "sp"]) == 0
     argv = ["compare", "--esd-a", "sp/eigenvalues.csv", "--esd-b", "sp/eigenvalues.csv", "--oracle", "--oracle-step", 0.01]
     assert _run(argv + ["--plot", "--out", "cmp"]) == 0
     monkeypatch.chdir(tmp_path / "elsewhere")
@@ -221,9 +217,10 @@ def test_replay_reads_its_inputs_from_any_directory(tmp_path, monkeypatch):
 
 
 def test_bounds_and_spectrum_report_the_ceiling_alike(tmp_path, capsys):
+    (tmp_path / "points.csv").write_text("x1\n" + "".join(f"{i / 6400!r}\n" for i in range(6400)))
     for argv, order in (
         (["bounds", "--N", 65, "--d", 2, "--r", 0.1, "--t", 1, "--trials", 1], 4225),
-        (["spectrum", "--dgg", "80,2,0.05", "--p", 2, "--method", "eig"], 6400),
+        (["spectrum", "--input", tmp_path / "points.csv", "--r", 0.01], 6400),
     ):
         assert _run(argv + ["--out", tmp_path / "out"]) == 1
         assert f"error: order {order} exceeds the dense-eigensolver ceiling 4096" in capsys.readouterr().err
@@ -231,7 +228,7 @@ def test_bounds_and_spectrum_report_the_ceiling_alike(tmp_path, capsys):
 
 def test_compare_identical_files(tmp_path, capsys):
     sp = tmp_path / "sp"
-    assert _run(["spectrum", "--dgg", "8,1,0.25", "--method", "closed", "--out", sp]) == 0
+    assert _run(["spectrum", "--dgg", "8,1,0.25", "--out", sp]) == 0
     out = tmp_path / "cmp"
     rc = _run(["compare", "--esd-a", sp / "eigenvalues.csv", "--esd-b", sp / "eigenvalues.csv", "--oracle", "--out", out])
     assert rc == 0
@@ -245,7 +242,7 @@ def test_compare_identical_files(tmp_path, capsys):
 
 def _eigenvalue_files(tmp_path) -> tuple[Path, Path]:
     for name, dgg in (("a", "8,1,0.25"), ("b", "8,1,0.4")):
-        assert _run(["spectrum", "--dgg", dgg, "--method", "closed", "--out", tmp_path / name]) == 0
+        assert _run(["spectrum", "--dgg", dgg, "--out", tmp_path / name]) == 0
     return tmp_path / "a" / "eigenvalues.csv", tmp_path / "b" / "eigenvalues.csv"
 
 
@@ -268,14 +265,15 @@ def test_compare_plots_in_file_mode(tmp_path):
         (["compare", "--esd-a", "a.csv", "--esd-b", "b.csv", "--seed", 1], "read only with --fig1"),
         (["compare", "--fig1", "--esd-b", "b.csv"], "--esd-b needs --esd-a"),
         (["generate", "--N", 5, "--d", 2, "--r", 0.21, "--seed", 5], "--seed is read only with --n"),
-        (["spectrum", "--dgg", "8,1,0.25", "--r", 0.4, "--method", "closed"], "--r is read only with --input"),
-        (["spectrum", "--dgg", "6,1,0.2", "--method", "closed", "--p", 2], "CLOSED_FORM_REQUIRES_LINF"),
+        (["spectrum", "--dgg", "8,1,0.25", "--r", 0.4], "--r is read only with --input"),
+        (["spectrum", "--dgg", "6,1,0.2", "--method", "closed", "--p", 2], "unrecognized arguments: --method closed"),
+        (["bounds", "--N", 8, "--d", 1, "--r", 0.3, "--t", 1, "--trials", 1, "--bogus"], "unrecognized arguments: --bogus"),
         (["compare", "--esd-a", "a.csv", "--esd-b", "b.csv", "--oracle-step", 0.01], "--oracle-step is read only with --oracle"),
         (["compare", "--fig1", "--oracle", "--oracle-step", 0], "--oracle-step must be positive, got 0.0"),
         (["compare", "--fig1", "--oracle", "--oracle-step", -1], "--oracle-step must be positive, got -1.0"),
         (["compare", "--fig1", "--oracle", "--oracle-step", "nan"], "--oracle-step must be positive, got nan"),
     ],
-    ids=["files-n", "files-d", "files-seed", "fig1-esd-b", "grid-seed", "dgg-r", "closed-p2", "step-without-oracle", "step-zero", "step-negative", "step-nan"],
+    ids=["files-n", "files-d", "files-seed", "fig1-esd-b", "grid-seed", "dgg-r", "closed-p2", "unknown-option", "step-without-oracle", "step-zero", "step-negative", "step-nan"],
 )
 def test_options_a_mode_never_reads_are_refused(tmp_path, capsys, argv, message):
     """Refused through the subcommand's parser: its usage line and prog."""
@@ -447,15 +445,20 @@ _GENERATE_ARGS = {"n": 10, "N": None, "d": 1, "p": "inf", "r": 0.2, "seed": 0}
         ({"command": "generate", "args": {**_GENERATE_ARGS, "bogus": 1}}, "error: manifest 'args' names no generate option: 'bogus'"),
         ({"command": "generate", "args": {"n": 10, "d": 1, "r": 0.2, "se": 3}}, "error: manifest 'args' names no generate option: 'se'"),
         ({"command": "generate", "args": {**_GENERATE_ARGS, "help": True}}, "error: manifest 'args' names no generate option: 'help'"),
+        (
+            {"command": "spectrum", "args": {"dgg": [8, 1, 0.25], "input": None, "method": "closed", "p": "inf", "plot": False, "r": None}},
+            "error: manifest 'args' names no spectrum option: 'method'",
+        ),
     ],
-    ids=["replay", "plot", "no-command", "bounds-without-d", "args-not-object", "r-not-float", "N-not-int", "bare-number", "unknown-key", "option-prefix", "help"],
+    ids=["replay", "plot", "no-command", "bounds-without-d", "args-not-object", "r-not-float", "N-not-int", "bare-number", "unknown-key", "option-prefix", "help", "spectrum-method"],
 )
 def test_replay_refuses_a_manifest_naming_no_data_command(tmp_path, capsys, monkeypatch, recorded, error):
     """A malformed manifest exits 2 with a message naming the bad field or
     option, either from replay's own checks or from the parser's."""
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps(recorded))
-    monkeypatch.setattr(cli, "run_trials", None)  # a bounds replay must stop before any trial
+    for name in ("run_trials", "dgg_eigenvalues_dft"):  # a replay must stop before any work
+        monkeypatch.setattr(cli, name, None)
     try:
         code = _run(["replay", "--manifest", manifest, "--out", tmp_path / "out"])
     except SystemExit as exc:

@@ -11,6 +11,7 @@ from oracles import splitmix64_reference
 from rgg_spectra import harness
 from rgg_spectra.harness import (
     ExperimentConfig,
+    TrialResult,
     estimate_probability,
     figure1_experiment,
     probability_from_results,
@@ -203,9 +204,16 @@ def test_probability_nonincreasing_in_t():
     results = run_trials(cfg, 30)
     previous = 1.1
     for t in (0.0, 0.01, 0.05, 0.1, 0.5, 2.0):
-        p_hat, _ = probability_from_results(results, t, 30)
+        p_hat, _ = probability_from_results(results, t)
         assert p_hat <= previous
         previous = p_hat
+
+
+def test_probability_counts_over_the_results_it_is_given():
+    results = [TrialResult(levy_cubed=value, trace_bound=1.0, m_n=0.0, xi_n=0) for value in (0.1, 0.5, 0.9)]
+    assert probability_from_results(results, 0.4) == (2 / 3, math.sqrt(2 / 3 * (1 - 2 / 3) / 3))
+    assert probability_from_results(results[1:], 0.4) == (1.0, 0.0)
+    assert probability_from_results(results[:1], 0.4) == (0.0, 0.0)
 
 
 def test_figure1_structure():

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 
@@ -19,22 +17,20 @@ def _esd(values):
 
 def test_identical_distributions_have_distance_zero():
     f = _esd([0.0, 1.0, 2.5])
-    result = levy_distance(f, f)
-    assert result.distance == 0.0
-    assert math.isnan(result.certificate_x)
+    assert levy_distance(f, f) == 0.0
 
 
 def test_point_masses_hand_value():
     # levy(delta_a, delta_b) = min(|b - a|, 1)
-    assert levy_distance(_esd([0.0]), _esd([0.3])).distance == pytest.approx(0.3, abs=1e-9)
-    assert levy_distance(_esd([0.0]), _esd([5.0])).distance == pytest.approx(1.0, abs=1e-9)
+    assert levy_distance(_esd([0.0]), _esd([0.3])) == pytest.approx(0.3, abs=1e-9)
+    assert levy_distance(_esd([0.0]), _esd([5.0])) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_mixture_hand_value():
     # F = (delta_0 + delta_1)/2 versus G = delta_0: distance 1/2
     f = _esd([0.0, 1.0])
     g = _esd([0.0, 0.0])
-    assert levy_distance(f, g).distance == pytest.approx(0.5, abs=1e-9)
+    assert levy_distance(f, g) == pytest.approx(0.5, abs=1e-9)
 
 
 def test_symmetry_and_shift_invariance():
@@ -42,20 +38,13 @@ def test_symmetry_and_shift_invariance():
     for _ in range(10):
         f = _esd(rng.normal(size=rng.integers(1, 12)))
         g = _esd(rng.normal(size=rng.integers(1, 12)))
-        d_fg = levy_distance(f, g).distance
-        d_gf = levy_distance(g, f).distance
+        d_fg = levy_distance(f, g)
+        d_gf = levy_distance(g, f)
         assert d_fg == pytest.approx(d_gf, abs=1e-12)
         shift = 3.7
         fs = _esd(f.eigenvalues + shift)
         gs = _esd(g.eigenvalues + shift)
-        assert levy_distance(fs, gs).distance == pytest.approx(d_fg, abs=1e-9)
-
-
-def test_certificate_marks_a_violation_point():
-    f = _esd([0.0])
-    g = _esd([0.3])
-    result = levy_distance(f, g)
-    assert math.isfinite(result.certificate_x)
+        assert levy_distance(fs, gs) == pytest.approx(d_fg, abs=1e-9)
 
 
 def test_exact_matches_oracle_on_random_atom_pairs():
@@ -64,7 +53,7 @@ def test_exact_matches_oracle_on_random_atom_pairs():
     for _ in range(10):
         f = _esd(rng.uniform(-2, 2, size=rng.integers(1, 21)))
         g = _esd(rng.uniform(-2, 2, size=rng.integers(1, 21)))
-        exact = levy_distance(f, g).distance
+        exact = levy_distance(f, g)
         grid = levy_distance_oracle(f, g, step)
         assert abs(exact - grid) <= 2e-3
 
@@ -81,14 +70,11 @@ def test_one_pass_agrees_with_bisection_and_is_tight():
     for _ in range(500):
         f = _esd(_atoms(rng, int(rng.integers(1, 30))))
         g = _esd(_atoms(rng, int(rng.integers(1, 30))))
-        result = levy_distance(f, g)
-        assert abs(result.distance - levy_bisection(f, g)) <= 1e-9
-        assert levy_feasible(f.eigenvalues, g.eigenvalues, result.distance + 1e-12)
-        if result.distance > 0:
-            assert not levy_feasible(f.eigenvalues, g.eigenvalues, result.distance - 1e-9)
-            assert result.certificate_x in f.eigenvalues or result.certificate_x in g.eigenvalues
-        else:
-            assert math.isnan(result.certificate_x)
+        distance = levy_distance(f, g)
+        assert abs(distance - levy_bisection(f, g)) <= 1e-9
+        assert levy_feasible(f.eigenvalues, g.eigenvalues, distance + 1e-12)
+        if distance > 0:
+            assert not levy_feasible(f.eigenvalues, g.eigenvalues, distance - 1e-9)
 
 
 def test_trace_bound_matches_brute_force():
@@ -134,5 +120,5 @@ def test_trace_dominates_levy_cubed_on_random_pairs():
         b = AdjacencyMatrix(entries=random_symmetric_01(n, float(rng.uniform(0.1, 0.9)), rng))
         f = esd_from_eigenvalues(sym_eigenvalues(a))
         g = esd_from_eigenvalues(sym_eigenvalues(b))
-        levy = levy_distance(f, g).distance
+        levy = levy_distance(f, g)
         assert levy**3 <= trace_bound(a, b) + 1e-9
