@@ -20,7 +20,7 @@ from .bounds import (
     lemma6_variance_bound,
     theorem1_rhs,
 )
-from .dgg import ANALYTIC_RANGE_EXCEEDED, AnalyticRangeError, DggSpec, dgg_band, dgg_degree, dgg_eigenvalues_dft, dgg_spec
+from .dgg import dgg_band, dgg_degree, dgg_eigenvalues_dft, dgg_reach
 from .geometry import (
     INFINITY,
     MAX_PAIRWISE_BYTES,
@@ -52,11 +52,8 @@ from .spectra import MAX_EIG_ORDER, Esd, esd_eval, esd_from_eigenvalues, sym_eig
 
 __all__ = [
     "__version__",
-    "ANALYTIC_RANGE_EXCEEDED",
-    "AnalyticRangeError",
     "AdjacencyMatrix",
     "BottleneckResult",
-    "DggSpec",
     "Esd",
     "ExperimentConfig",
     "Figure1Result",
@@ -76,7 +73,7 @@ __all__ = [
     "dgg_band",
     "dgg_degree",
     "dgg_eigenvalues_dft",
-    "dgg_spec",
+    "dgg_reach",
     "edge_list_text",
     "esd_eval",
     "esd_from_eigenvalues",

@@ -232,7 +232,7 @@ def cmd_bounds(opts: dict) -> dict[str, str]:
     cfg = ExperimentConfig(**{field.name: opts[field.name] for field in dataclasses.fields(ExperimentConfig)})
     check_tail_parameters(cfg.t, cfg.a)
     r = cfg.r
-    results = run_trials(cfg, cfg.trials, check=lambda result: check_matching_regime(r, result.m_n))
+    results = run_trials(cfg, check=lambda result: check_matching_regime(r, result.m_n))
     p_hat, stderr = probability_from_results(results, cfg.t)
     m_n_max = max(result.m_n for result in results)
     n = cfg.n

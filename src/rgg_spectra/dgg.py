@@ -5,29 +5,20 @@ at most r.  dgg_band evaluates that rule once per lattice offset h, on the
 exact wrapped coordinates min(h_s, N - h_s)/N, so the adjacency is a d-level
 circulant whose row i is the band shifted to vertex i, and its eigenvalues
 are the d-dimensional DFT of the band (dgg_eigenvalues_dft), for every p.
-Under l_infinity the band is the cube of reach k (the largest k with
-k/N <= r), the degree is (2k+1)^d - 1 and the DFT factors into a product of
-Dirichlet-kernel ratios (dgg_eigenvalues_closed_form); that product is only
-the graph's spectrum while the cube does not wrap onto itself, 2k+1 <= N.
-Every lattice spectrum the package reports (the trials, Figure 1 and
+Under l_infinity the band is the cube of reach k = dgg_reach(N, d, r), the
+largest k with k/N <= r; while the cube does not wrap onto itself
+(2k+1 <= N) the degree is (2k+1)^d - 1 (dgg_degree) and the DFT factors
+into a product of Dirichlet-kernel ratios (dgg_eigenvalues_closed_form).
+All three take (N, d, r) and refuse 2k+1 > N with a ValueError.  Every
+lattice spectrum the package reports (the trials, Figure 1 and
 `spectrum --dgg`) is the DFT; the product is the tests' check route.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .geometry import _MAX_GRID_POINTS, MetricSpec, _torus_distances
-
-ANALYTIC_RANGE_EXCEEDED = "ANALYTIC_RANGE_EXCEEDED"
-
-
-class AnalyticRangeError(ValueError):
-    """Raised when 2k+1 > N: the analytic degree/spectrum formulas overcount."""
-
-    code = ANALYTIC_RANGE_EXCEEDED
 
 
 def dgg_band(N: int, d: int, p: float, r: float) -> np.ndarray:
@@ -54,40 +45,20 @@ def dgg_band(N: int, d: int, p: float, r: float) -> np.ndarray:
     return band
 
 
-@dataclass(frozen=True)
-class DggSpec:
-    """l_infinity lattice-graph parameters with derived reach k and degree."""
-
-    N: int
-    d: int
-    r: float
-
-    def __post_init__(self) -> None:
-        if self.N < 1 or self.d < 1 or not self.r > 0:
-            raise ValueError(f"need N >= 1, d >= 1, r > 0, got N={self.N}, d={self.d}, r={self.r}")
-        if 2 * self.k + 1 > self.N:
-            raise AnalyticRangeError(
-                f"{ANALYTIC_RANGE_EXCEEDED}: 2k+1 = {2 * self.k + 1} exceeds N = {self.N}"
-            )
-
-    @property
-    def k(self) -> int:
-        """The largest k <= N with k/N <= r, compared in the doubles dgg_band uses."""
-        return int(np.count_nonzero(np.arange(1, self.N + 1) / self.N <= self.r))
-
-    @property
-    def degree(self) -> int:
-        return (2 * self.k + 1) ** self.d - 1
-
-
-def dgg_spec(N: int, d: int, r: float) -> DggSpec:
-    """The DggSpec of (N, d, r), gated on 2k+1 <= N."""
-    return DggSpec(N=N, d=d, r=r)
+def dgg_reach(N: int, d: int, r: float) -> int:
+    """The l_infinity reach k: the largest k <= N with k/N <= r, compared in the
+    doubles dgg_band uses.  Refused when 2k+1 > N, where the cube wraps."""
+    if N < 1 or d < 1 or not r > 0:
+        raise ValueError(f"need N >= 1, d >= 1, r > 0, got N={N}, d={d}, r={r}")
+    k = int(np.count_nonzero(np.arange(1, N + 1) / N <= r))
+    if 2 * k + 1 > N:
+        raise ValueError(f"2k+1 = {2 * k + 1} exceeds N = {N}")
+    return k
 
 
 def dgg_degree(N: int, d: int, r: float) -> int:
     """Analytic l_infinity lattice degree (2k+1)^d - 1, gated on 2k+1 <= N."""
-    return dgg_spec(N, d, r).degree
+    return (2 * dgg_reach(N, d, r) + 1) ** d - 1
 
 
 def _dirichlet_factors(N: int, k: int) -> np.ndarray:
@@ -100,11 +71,11 @@ def _dirichlet_factors(N: int, k: int) -> np.ndarray:
     return factors
 
 
-def dgg_eigenvalues_closed_form(spec: DggSpec) -> np.ndarray:
-    """All N^d l_infinity eigenvalues prod_s D(m_s) - 1, ascending."""
-    factors = _dirichlet_factors(spec.N, spec.k)
+def dgg_eigenvalues_closed_form(N: int, d: int, r: float) -> np.ndarray:
+    """All N^d l_infinity eigenvalues prod_s D(m_s) - 1, ascending, gated on 2k+1 <= N."""
+    factors = _dirichlet_factors(N, dgg_reach(N, d, r))
     product = factors
-    for _ in range(spec.d - 1):
+    for _ in range(d - 1):
         product = np.multiply.outer(product, factors)
     return np.sort(product.ravel() - 1.0)
 

@@ -15,12 +15,12 @@ trial index, so every aggregate is reproducible bit-for-bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
 
-from .dgg import dgg_band, dgg_eigenvalues_dft, dgg_spec
+from .dgg import dgg_band, dgg_eigenvalues_dft, dgg_reach
 from .dgg import dgg_eigenvalues_closed_form  # noqa: F401  perfbench wraps it here until ROADMAP item 4
 from .geometry import INFINITY, MetricSpec, PointSet, average_degree, grid_points, sample_uniform
 from .graph import AdjacencyMatrix, _aligned, _refuse_dense, build_adjacency
@@ -133,14 +133,14 @@ def run_trial(cfg: ExperimentConfig, trial_index: int) -> TrialResult:
     )
 
 
-def run_trials(cfg: ExperimentConfig, trials: int, check=None) -> list[TrialResult]:
-    """All trial results, run one after another in trial-index order.
+def run_trials(cfg: ExperimentConfig, check=None) -> list[TrialResult]:
+    """The results of cfg.trials trials, run one after another in trial-index order.
 
     check, if given, is called on each result before the next trial starts;
     an exception it raises stops the trials and propagates.
     """
     results = []
-    for index in range(trials):
+    for index in range(cfg.trials):
         result = run_trial(cfg, index)
         if check is not None:
             check(result)
@@ -149,12 +149,15 @@ def run_trials(cfg: ExperimentConfig, trials: int, check=None) -> list[TrialResu
 
 
 def estimate_probability(cfg: ExperimentConfig, trials: int) -> tuple[float, float]:
-    """Monte Carlo estimate of P{L^3 > t} with its binomial standard error."""
-    return probability_from_results(run_trials(cfg, trials), cfg.t)
+    """Monte Carlo estimate of P{L^3 > t} over `trials` trials of cfg, with its
+    binomial standard error; ExperimentConfig refuses trials < 1 before any runs."""
+    return probability_from_results(run_trials(replace(cfg, trials=trials)), cfg.t)
 
 
 def probability_from_results(results: list[TrialResult], t: float) -> tuple[float, float]:
     """p_hat and stderr for P{L^3 > t}, counted over the given trials."""
+    if not results:
+        raise ValueError("no trial results to count P{L^3 > t} over")
     p_hat = sum(res.levy_cubed > t for res in results) / len(results)
     stderr = math.sqrt(p_hat * (1.0 - p_hat) / len(results))
     return p_hat, stderr
@@ -193,7 +196,7 @@ def figure1_experiment(n: int = 2000, d: int = 1, seed: int = 1) -> Figure1Resul
     """Connectivity-regime CDF comparison at r = log(n)/sqrt(n), l_infinity.
 
     n must be a perfect d-th power so the lattice has the same size, and at
-    most MAX_EIG_ORDER; the reported reach k needs 2k+1 <= N (dgg_spec).
+    most MAX_EIG_ORDER; the reported reach k needs 2k+1 <= N (dgg_reach).
     All three are checked before sampling.  Emits the union-of-atoms x grid,
     the random-graph empirical CDF, the lattice CDF, their Levy distance, and
     the random graph's twin share and -1 atom.
@@ -203,7 +206,7 @@ def figure1_experiment(n: int = 2000, d: int = 1, seed: int = 1) -> Figure1Resul
         raise ValueError(f"n = {n} is not a perfect {d}-th power")
     _check_order(n)
     r = math.log(n) / math.sqrt(n)
-    k = dgg_spec(N, d, r).k
+    k = dgg_reach(N, d, r)
 
     esd_dgg = _dgg_esd(N, d, INFINITY, r)
     sample = sample_uniform(n, d, seed)

@@ -20,7 +20,7 @@ import pytest
 from oracles import binomial_tail_oracle, brute_bottleneck, lemma4_matrix_terms, random_symmetric_01
 from rgg_spectra.bounds import lemma1_degree_bound, lemma6_variance_bound, theorem1_rhs
 from rgg_spectra.cli import main as cli_main
-from rgg_spectra.dgg import dgg_eigenvalues_closed_form, dgg_eigenvalues_dft, dgg_spec
+from rgg_spectra.dgg import dgg_degree, dgg_eigenvalues_closed_form, dgg_eigenvalues_dft, dgg_reach
 from rgg_spectra.geometry import INFINITY, MetricSpec, PointSet, ball_volume_theta, grid_points, sample_uniform
 from rgg_spectra.graph import AdjacencyMatrix, build_adjacency
 from rgg_spectra.harness import ExperimentConfig, figure1_experiment, probability_from_results, run_trials
@@ -51,9 +51,8 @@ def test_criterion_02_analytic_spectrum_exactness():
         for N in sides:
             for k in range((N - 1) // 2 + 1):
                 r = (k + 0.5) / N
-                spec = dgg_spec(N, d, r)
-                assert spec.k == k
-                closed = dgg_eigenvalues_closed_form(spec)
+                assert dgg_reach(N, d, r) == k
+                closed = dgg_eigenvalues_closed_form(N, d, r)
                 dft = dgg_eigenvalues_dft(N, d, INFINITY, r)
                 explicit = sym_eigenvalues(build_adjacency(grid_points(N, d), r, MetricSpec(d=d, p=INFINITY)))
                 worst = max(
@@ -135,10 +134,9 @@ def test_criterion_06_degree_bound_sweep():
                     # infimum of a_n over the radius class floor(N r) = k
                     if k >= 1 and degree > lemma1_degree_bound(d, p, theta * k**d):
                         violations += 1
-                    # interior representative exercises the real constructor
-                    spec = dgg_spec(N, d, (k + 0.5) / N)
+                    # interior representative exercises the package's own reach and degree
                     a_n = theta * N**d * ((k + 0.5) / N) ** d
-                    if spec.degree > lemma1_degree_bound(d, p, a_n):
+                    if dgg_degree(N, d, (k + 0.5) / N) > lemma1_degree_bound(d, p, a_n):
                         violations += 1
                     checked += 1
     ok = violations == 0
@@ -171,6 +169,7 @@ def test_criterion_07_decomposition_identity():
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_08_tail_bound_domination():
     configs = ((1, 16, 0.499), (1, 32, 0.4), (2, 16, 0.3), (2, 32, 0.2))
     trials = 500
@@ -178,7 +177,7 @@ def test_criterion_08_tail_bound_domination():
     failures = []
     for d, N, r in configs:
         cfg = ExperimentConfig(N=N, d=d, p=INFINITY, r=r, a=2.0, trials=trials, seed=0)
-        results = run_trials(cfg, trials)
+        results = run_trials(cfg)
         m_n_max = max(result.m_n for result in results)
         n = cfg.n
         a_n = ball_volume_theta(d) * n * r**d

@@ -15,7 +15,7 @@ from rgg_spectra.bounds import (
     lemma6_variance_bound,
     theorem1_rhs,
 )
-from rgg_spectra.dgg import dgg_degree, dgg_spec
+from rgg_spectra.dgg import dgg_degree
 from rgg_spectra.geometry import INFINITY, MetricSpec, ball_volume_theta, grid_points, sample_uniform
 from rgg_spectra.graph import build_adjacency
 from rgg_spectra.harness import lattice_graph
@@ -36,8 +36,7 @@ def test_degree_bound_examples():
     expected = 2.0 * 4.0 * a_n * (1.0 + 1.0 / (2.0 * math.sqrt(a_n))) ** 2
     assert lemma1_degree_bound(2, 1, a_n) == pytest.approx(expected, rel=1e-15)
     # the bound actually dominates the lattice degree it bounds
-    spec = dgg_spec(10, 1, 0.2)
-    assert spec.degree <= lemma1_degree_bound(1, 2, ball_volume_theta(1) * 10 * 0.2)
+    assert dgg_degree(10, 1, 0.2) <= lemma1_degree_bound(1, 2, ball_volume_theta(1) * 10 * 0.2)
     with pytest.raises(ValueError):
         lemma1_degree_bound(1, 2, 0.0)
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from rgg_spectra.harness import (
     run_trials,
     trial_seed,
 )
-from rgg_spectra.dgg import dgg_spec
+from rgg_spectra.dgg import dgg_reach
 from rgg_spectra.geometry import INFINITY, PointSet, grid_points
 
 
@@ -87,7 +88,7 @@ def test_lattice_spectrum_is_accurate_at_figure1_radii(N):
     # Here the DFT is within 1.6e-14 (N = 256) and 1.1e-13 (N = 2000) of the
     # exact sums; the l_inf closed-form product is off by 3.6e-12 and 6.3e-11.
     r = math.log(N) / math.sqrt(N)
-    reference = _linf_ring_reference(N, dgg_spec(N, 1, r).k)
+    reference = _linf_ring_reference(N, dgg_reach(N, 1, r))
     assert np.max(np.abs(harness._dgg_esd(N, 1, INFINITY, r).eigenvalues - reference)) <= 1e-12
 
 
@@ -150,16 +151,16 @@ def test_grid_sample_at_tie_radii_keeps_the_trace_bound(grid_as_sample):
 @pytest.mark.parametrize(
     "cfg",
     [
-        ExperimentConfig(N=16, d=1, p=INFINITY, r=0.3, seed=2),
-        ExperimentConfig(N=6, d=2, p=2, r=0.3, seed=2),
-        ExperimentConfig(N=8, d=2, p=INFINITY, r=0.3, seed=3),
-        ExperimentConfig(N=4, d=3, p=1, r=0.4, seed=4),
+        ExperimentConfig(N=16, d=1, p=INFINITY, r=0.3, trials=6, seed=2),
+        ExperimentConfig(N=6, d=2, p=2, r=0.3, trials=6, seed=2),
+        ExperimentConfig(N=8, d=2, p=INFINITY, r=0.3, trials=6, seed=3),
+        ExperimentConfig(N=4, d=3, p=1, r=0.4, trials=6, seed=4),
     ],
     ids=["d1-linf", "d2-l2", "d2-linf", "d3-l1"],
 )
 def test_run_trials_repeat_bit_for_bit_and_read_no_thread_variable(monkeypatch, cfg):
     monkeypatch.delenv("RGG_SPECTRA_THREADS", raising=False)
-    first = run_trials(cfg, 6)
+    first = run_trials(cfg)
     # Trials read no environment variable: any thread count there, a
     # malformed one included, leaves them unchanged.  Each rerun rebuilds the
     # cached lattice too.
@@ -167,12 +168,12 @@ def test_run_trials_repeat_bit_for_bit_and_read_no_thread_variable(monkeypatch, 
         harness.lattice_graph.cache_clear()
         harness._dgg_esd.cache_clear()
         monkeypatch.setenv("RGG_SPECTRA_THREADS", raw)
-        assert run_trials(cfg, 6) == first, raw
+        assert run_trials(cfg) == first, raw
 
 
 @pytest.mark.parametrize("rejected", [1, 3])
 def test_run_trials_check_stops_at_the_first_rejected_trial(monkeypatch, rejected):
-    cfg = ExperimentConfig(N=8, d=1, p=INFINITY, r=0.3, seed=0)
+    cfg = ExperimentConfig(N=8, d=1, p=INFINITY, r=0.3, trials=6, seed=0)
     seen = []
     ran = []
     run_trial = harness.run_trial
@@ -184,9 +185,9 @@ def test_run_trials_check_stops_at_the_first_rejected_trial(monkeypatch, rejecte
             raise ValueError("rejected")
 
     with pytest.raises(ValueError, match="rejected"):
-        run_trials(cfg, 6, check=check)
+        run_trials(cfg, check=check)
     assert ran == list(range(rejected + 1))
-    assert seen == run_trials(cfg, rejected + 1)
+    assert seen == run_trials(replace(cfg, trials=rejected + 1))
 
 
 def test_probability_estimates():
@@ -200,8 +201,8 @@ def test_probability_estimates():
 
 
 def test_probability_nonincreasing_in_t():
-    cfg = ExperimentConfig(N=16, d=1, p=INFINITY, r=0.3, seed=4)
-    results = run_trials(cfg, 30)
+    cfg = ExperimentConfig(N=16, d=1, p=INFINITY, r=0.3, trials=30, seed=4)
+    results = run_trials(cfg)
     previous = 1.1
     for t in (0.0, 0.01, 0.05, 0.1, 0.5, 2.0):
         p_hat, _ = probability_from_results(results, t)
@@ -214,6 +215,18 @@ def test_probability_counts_over_the_results_it_is_given():
     assert probability_from_results(results, 0.4) == (2 / 3, math.sqrt(2 / 3 * (1 - 2 / 3) / 3))
     assert probability_from_results(results[1:], 0.4) == (1.0, 0.0)
     assert probability_from_results(results[:1], 0.4) == (0.0, 0.0)
+
+
+def test_an_empty_trial_count_is_refused_before_any_trial(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(harness, "run_trial", refuse)
+    cfg = ExperimentConfig(N=8, d=1, p=INFINITY, r=0.3, trials=5)
+    with pytest.raises(ValueError, match="need trials >= 1"):
+        estimate_probability(cfg, 0)
+    with pytest.raises(ValueError, match="no trial results"):
+        probability_from_results([], cfg.t)
 
 
 def test_figure1_structure():

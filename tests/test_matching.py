@@ -429,7 +429,7 @@ from rgg_spectra.geometry import INFINITY, MetricSpec, grid_points, sample_unifo
 from rgg_spectra.harness import ExperimentConfig, figure1_experiment, run_trials
 from rgg_spectra.matching import bottleneck_matching
 figure1_experiment(n=256)
-run_trials(ExperimentConfig(N=128, d=1, p=INFINITY, r=0.1, trials=4), 4)
+run_trials(ExperimentConfig(N=128, d=1, p=INFINITY, r=0.1, trials=4))
 assert "scipy.sparse" not in sys.modules, "scipy.sparse loaded before the first probe"
 sample, grid, m = sample_uniform(36, 2, 3), grid_points(6, 2), MetricSpec(d=2, p=2)
 m_n = bottleneck_matching(sample, grid, m).m_n
