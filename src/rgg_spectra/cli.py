@@ -81,13 +81,12 @@ def _p_for_manifest(p: float):
 
 def _manifest_text(command: str, opts: dict) -> str:
     """manifest.json: every option but --out (p as "inf" or a number, input
-    files as absolute paths, so that a replay from any directory reads them),
-    plus versions.  scipy is imported here for its version only, so that
-    importing the CLI does not load it."""
+    files as the absolute paths the parser made them, so that a replay from
+    any directory reads them), plus versions.  scipy is imported here for its
+    version only, so that importing the CLI does not load it."""
     import scipy
 
     args = {key: _p_for_manifest(value) if key == "p" else value for key, value in opts.items() if key != "out"}
-    args.update({key: str(Path(args[key]).resolve()) for key in ("input", "esd_a", "esd_b") if args.get(key) is not None})
     payload = {
         "command": command,
         "args": args,
@@ -185,8 +184,8 @@ def cmd_generate(opts: dict) -> dict[str, str]:
 
 def cmd_spectrum(opts: dict) -> dict[str, str]:
     if opts.get("dgg") is not None:
-        N, d, r = opts["dgg"]
-        values = dgg_eigenvalues_dft(N, d, opts["p"], r)
+        N, d = opts["dgg"]
+        values = dgg_eigenvalues_dft(N, d, opts["p"], opts["r"])
     else:
         coords = _read_csv(opts["input"])
         points = PointSet(d=coords.shape[1], coords=coords, kind="sample")
@@ -200,7 +199,6 @@ def cmd_spectrum(opts: dict) -> dict[str, str]:
 
 
 def cmd_compare(opts: dict) -> dict[str, str]:
-    plot, oracle_step = opts["plot"], opts["oracle_step"] if opts["oracle"] else None
     files = {}
     if opts.get("fig1"):
         result = figure1_experiment(n=opts["n"], d=opts["d"], seed=opts["seed"])
@@ -209,18 +207,18 @@ def cmd_compare(opts: dict) -> dict[str, str]:
         title = f"empirical vs analytic CDF, n={result.n}"
         payload = {field.name: getattr(result, field.name) for field in dataclasses.fields(result) if field.name not in _FIG1_ARRAYS}
     else:
-        table_a, table_b = _read_csv(opts["esd_a"]), _read_csv(opts["esd_b"])
+        table_a, table_b = map(_read_csv, opts["esd"])
         if table_a.shape[1] != 1 or table_b.shape[1] != 1:
-            raise CliError(f"--esd-a/--esd-b need one eigenvalue column each, got {table_a.shape[1]} and {table_b.shape[1]}")
+            raise CliError(f"--esd needs one eigenvalue column each, got {table_a.shape[1]} and {table_b.shape[1]}")
         esd_a, esd_b = esd_from_eigenvalues(table_a[:, 0]), esd_from_eigenvalues(table_b[:, 0])
-        title = "CDFs of --esd-a and --esd-b"
+        title = "CDFs of --esd-a and --esd-b"  # this exact text keeps file-mode cdf.svg byte-identical to earlier releases
         payload = {"levy": levy_distance(esd_a, esd_b)}
-    if plot:
+    if opts["plot"]:
         files["cdf.svg"] = _svg_step_plot([esd_a, esd_b], title)
     payload["levy_cubed"] = payload["levy"] ** 3
     payload["trace_bound"] = None
-    if oracle_step is not None:
-        payload["oracle"] = levy_distance_oracle(esd_a, esd_b, oracle_step)
+    if opts["oracle"] is not None:
+        payload["oracle"] = levy_distance_oracle(esd_a, esd_b, opts["oracle"])
     files["compare.json"] = _json_text(payload)
     print(f"levy = {_fmt(payload['levy'])}")
     print(f"levy_cubed = {_fmt(payload['levy_cubed'])}")
@@ -281,7 +279,8 @@ def _commands() -> dict:
 def _replay_argv(parser: argparse.ArgumentParser, opts: dict) -> list[str]:
     """The command line --manifest records, with this call's --out: --key=value
     per option (so that a value such as -1e-05 is not read as an option), a
-    bare flag if true, none if null or false, the --dgg triple comma-joined.
+    bare flag if true, none if null or false, the --dgg pair comma-joined and
+    the --esd pair as --esd A B (absolute paths, never read as options).
     A key must be the exact dest of one of its command's options, so that
     argparse's prefix matching never reads "se" as --seed nor "help" as --help."""
     with open(opts["manifest"]) as handle:
@@ -299,10 +298,13 @@ def _replay_argv(parser: argparse.ArgumentParser, opts: dict) -> list[str]:
         raise CliError(f"manifest 'args' names no {command} option: {', '.join(map(repr, unknown))}")
     argv = [command]
     for key, value in args.items():
+        flag = "--" + key.replace("_", "-")
         if key == "dgg" and isinstance(value, list):
             value = ",".join(map(str, value))
-        if value is not None and value is not False:
-            argv.append("--" + key.replace("_", "-") + ("" if value is True else f"={value}"))
+        if key == "esd" and isinstance(value, list):
+            argv += [flag, *map(str, value)]
+        elif value is not None and value is not False:
+            argv.append(flag + ("" if value is True else f"={value}"))
     return argv + [f"--out={opts['out']}"]
 
 
@@ -324,12 +326,25 @@ def _run(command: str, opts: dict) -> int:
     return 0
 
 
-def _parse_dgg(text: str) -> tuple[int, int, float]:
+def _parse_dgg(text: str) -> tuple[int, int]:
     try:
-        N, d, r = text.split(",")
-        return int(N), int(d), float(r)
+        N, d = text.split(",")
+        return int(N), int(d)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"--dgg needs 'N,d,r', got {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"--dgg needs 'N,d', got {text!r}") from exc
+
+
+def _parse_oracle_step(text: str) -> float:
+    """A finite --oracle step of at least 1e-4: the oracle scans eps = step,
+    2 * step, ... up to the Levy distance, which is at most 1, so the floor
+    caps the scan at 10^4 rounds (about 17 s at n = 2000)."""
+    try:
+        step = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"invalid oracle step {text!r}") from exc
+    if not 1e-4 <= step < np.inf:
+        raise argparse.ArgumentTypeError(f"the oracle step must be finite and at least 1e-4, got {text}")
+    return step
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -353,22 +368,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     spec = sub.add_parser("spectrum", parents=[out], help="eigenvalues of a point-set graph or the analytic lattice")
     source = spec.add_mutually_exclusive_group(required=True)
-    source.add_argument("--input", help="points.csv to build a graph from")
-    source.add_argument("--dgg", type=_parse_dgg, metavar="N,d,r")
+    source.add_argument("--input", type=os.path.abspath, help="points.csv to build a graph from")
+    source.add_argument("--dgg", type=_parse_dgg, metavar="N,d", help="the N^d grid lattice")
     spec.add_argument("--p", type=_parse_p, default=INFINITY)
-    spec.add_argument("--r", type=float, help="radius for --input (a --dgg lattice carries its own)")
+    spec.add_argument("--r", type=float, required=True)
     spec.add_argument("--plot", action="store_true")
 
     comp = sub.add_parser("compare", parents=[out], help="Levy distance between two spectra")
     mode = comp.add_mutually_exclusive_group(required=True)
     mode.add_argument("--fig1", action="store_true", help="connectivity-regime CDF comparison")
-    mode.add_argument("--esd-a", dest="esd_a", help="first eigenvalue CSV")
-    comp.add_argument("--esd-b", dest="esd_b", help="second eigenvalue CSV")
+    mode.add_argument("--esd", nargs=2, type=os.path.abspath, metavar=("A", "B"), help="two eigenvalue CSVs")
     comp.add_argument("--n", type=int, help="--fig1 sample size (default 2000)")
     comp.add_argument("--d", type=int, help="--fig1 dimension (default 1)")
     comp.add_argument("--seed", type=int, help="--fig1 seed (default 1)")
-    comp.add_argument("--oracle", action="store_true")
-    comp.add_argument("--oracle-step", dest="oracle_step", type=float, help="--oracle grid step (default 1e-3)")
+    comp.add_argument("--oracle", nargs="?", const=1e-3, type=_parse_oracle_step, metavar="STEP", help="grid-scan oracle with this step (default 1e-3)")
     comp.add_argument("--plot", action="store_true")
 
     bnd = sub.add_parser("bounds", parents=[out], help="tail-bound report plus Monte Carlo estimate")
@@ -406,30 +419,12 @@ def _parse(parser: argparse.ArgumentParser, argv: list[str] | None) -> tuple[str
             error("--seed is read only with --n")
         if opts["N"] is None and opts["seed"] is None:
             opts["seed"] = 0
-    if command == "spectrum":
-        if opts["dgg"] is None and opts["r"] is None:
-            error("--input mode needs --r")
-        if opts["dgg"] is not None and opts["r"] is not None:
-            error("--r is read only with --input; a --dgg lattice carries its own radius")
     if command == "compare":
         fig1_defaults = {"n": 2000, "d": 1, "seed": 1}
         if opts["fig1"]:
-            if opts["esd_b"] is not None:
-                error("--esd-b needs --esd-a")
             opts.update({key: value for key, value in fig1_defaults.items() if opts[key] is None})
-        elif opts["esd_b"] is None:
-            error("--esd-a needs --esd-b")
-        else:
-            given = [key for key in fig1_defaults if opts.pop(key) is not None]
-            if given:
-                error("--n, --d and --seed are read only with --fig1")
-        step = opts.pop("oracle_step")
-        if step is not None and not opts["oracle"]:
-            error("--oracle-step is read only with --oracle")
-        if step is not None and not step > 0:
-            error(f"--oracle-step must be positive, got {step}")
-        if opts["oracle"]:
-            opts["oracle_step"] = 1e-3 if step is None else step
+        elif any(opts.pop(key) is not None for key in fig1_defaults):  # file mode records none of them
+            error("--n, --d and --seed are read only with --fig1")
     return command, opts
 
 

@@ -140,16 +140,18 @@ def torus_distance(x, y, m: MetricSpec) -> float:
     return float(_torus_distances(x[None, :], y[None, :], m.p)[0, 0])
 
 
+def _check_pairwise_bytes(size: int, what: str) -> None:
+    """Refuse, before allocating, arrays of size bytes past MAX_PAIRWISE_BYTES
+    (read on each call); what names them in the message."""
+    if size > MAX_PAIRWISE_BYTES:
+        raise ValueError(f"{what} need {size} bytes, past the limit MAX_PAIRWISE_BYTES = {MAX_PAIRWISE_BYTES}")
+
+
 def torus_distance_matrix(a: PointSet, b: PointSet, m: MetricSpec) -> np.ndarray:
     """All-pairs torus l_p distances, shape (a.n, b.n)."""
     if a.d != m.d or b.d != m.d:
         raise ValueError("point sets and metric disagree on dimension")
-    size = a.n * b.n * m.d * 8
-    if size > MAX_PAIRWISE_BYTES:
-        raise ValueError(
-            f"all-pairs distances for {a.n} x {b.n} points in d = {m.d} need {size} bytes, "
-            f"past the limit MAX_PAIRWISE_BYTES = {MAX_PAIRWISE_BYTES}"
-        )
+    _check_pairwise_bytes(a.n * b.n * m.d * 8, f"all-pairs distances for {a.n} x {b.n} points in d = {m.d}")
     return _all_pairs(a.coords, b.coords, m.p)
 
 

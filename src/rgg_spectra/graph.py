@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import MAX_PAIRWISE_BYTES, MetricSpec, PointSet, _all_pairs
+from .geometry import MetricSpec, PointSet, _all_pairs, _check_pairwise_bytes
 
 
 @dataclass(frozen=True)
@@ -43,11 +43,7 @@ class AdjacencyMatrix:
 
 def _refuse_dense(n: int) -> None:
     """Refuse an n x n uint8 adjacency past geometry.MAX_PAIRWISE_BYTES."""
-    if n * n > MAX_PAIRWISE_BYTES:
-        raise ValueError(
-            f"the adjacency of {n} points needs {n * n} bytes, "
-            f"past the limit MAX_PAIRWISE_BYTES = {MAX_PAIRWISE_BYTES}"
-        )
+    _check_pairwise_bytes(n * n, f"the adjacency entries of {n} points")
 
 
 def build_adjacency(points: PointSet, r: float, m: MetricSpec) -> AdjacencyMatrix:

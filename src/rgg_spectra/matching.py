@@ -64,7 +64,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .geometry import MetricSpec, PointSet, torus_distance_matrix
+from .geometry import MetricSpec, PointSet, _check_pairwise_bytes, torus_distance_matrix
 
 
 @dataclass(frozen=True)
@@ -296,6 +296,8 @@ def _circle_matching(sample: PointSet, grid: PointSet, m: MetricSpec) -> Bottlen
     """The d = 1 route: best cyclic shift, certified by a Hall arc (or, for
     at most _PROBED_CIRCLE_MAX_N points, by one probe)."""
     n = sample.n
+    # The sorted distance matrix E and the n x 2n copy of it that _best_shift reads.
+    _check_pairwise_bytes(3 * n * n * 8, f"the sorted d = 1 distances of {n} points and their doubled copy")
     sample_order = np.argsort(sample.coords[:, 0], kind="stable")
     grid_order = np.argsort(grid.coords[:, 0], kind="stable")
     a = PointSet(d=1, coords=sample.coords[sample_order], kind=sample.kind)

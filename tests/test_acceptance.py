@@ -234,7 +234,7 @@ def test_criterion_10_manifest_replay_determinism(tmp_path):
     runs = {
         "gen-sample": ["generate", "--n", 40, "--d", 2, "--p", 2, "--r", 0.3, "--seed", 7],
         "gen-grid": ["generate", "--N", 5, "--d", 2, "--p", "inf", "--r", 0.21],
-        "spectrum-dgg": ["spectrum", "--dgg", "8,2,0.25", "--plot"],
+        "spectrum-dgg": ["spectrum", "--dgg", "8,2", "--r", 0.25, "--plot"],
         "compare-fig": ["compare", "--fig1", "--n", 256, "--d", 1, "--seed", 3, "--plot"],
         "bounds": ["bounds", "--N", 16, "--d", 1, "--r", 0.499, "--t", 1000, "--trials", 4, "--seed", 0],
     }

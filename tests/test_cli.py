@@ -80,7 +80,7 @@ def test_generate_same_flags_are_byte_identical(tmp_path):
 
 def test_spectrum_closed_form_ring(tmp_path):
     out = tmp_path / "sp"
-    assert _run(["spectrum", "--dgg", "4,1,0.25", "--out", out]) == 0
+    assert _run(["spectrum", "--dgg", "4,1", "--r", 0.25, "--out", out]) == 0
     rows = (out / "eigenvalues.csv").read_text().splitlines()
     assert rows[0] == "eigenvalue"
     values = np.array([float(v) for v in rows[1:]])
@@ -94,7 +94,7 @@ def test_spectrum_dgg_writes_the_dft_spectrum(tmp_path):
     the lattice is K4."""
     for N, d, r, p in ((6, 2, 0.2, "inf"), (24, 2, 0.25, "2"), (4, 1, 0.5, "inf")):
         out = tmp_path / f"{N}-{d}-{p}"
-        assert _run(["spectrum", "--dgg", f"{N},{d},{r}", "--p", p, "--out", out]) == 0
+        assert _run(["spectrum", "--dgg", f"{N},{d}", "--r", r, "--p", p, "--out", out]) == 0
         written = np.loadtxt(out / "eigenvalues.csv", skiprows=1)
         expected = dgg_eigenvalues_dft(N, d, INFINITY if p == "inf" else float(p), r)
         assert written.tobytes() == expected.tobytes()
@@ -153,7 +153,7 @@ def test_lattice_spectra_past_the_eigensolver_ceiling_need_no_graph(tmp_path, mo
     _refuse_graph_building(monkeypatch)
     for p in ("2", "inf"):
         out = tmp_path / p
-        assert _run(["spectrum", "--dgg", "80,2,0.05", "--p", p, "--out", out]) == 0
+        assert _run(["spectrum", "--dgg", "80,2", "--r", 0.05, "--p", p, "--out", out]) == 0
         assert len((out / "eigenvalues.csv").read_text().splitlines()) == 1 + 80 * 80
 
 
@@ -196,7 +196,7 @@ def test_compare_eigenvalue_file_errors(tmp_path, capsys, text, message):
     path.write_text(text)
     good = tmp_path / "good.csv"
     good.write_text("eigenvalue\n-1.0\n1.0\n")
-    rc = _run(["compare", "--esd-a", path, "--esd-b", good, "--out", tmp_path / "out"])
+    rc = _run(["compare", "--esd", path, good, "--out", tmp_path / "out"])
     assert rc == 2
     assert message.format(path=path) in capsys.readouterr().err
     assert not (tmp_path / "out" / "compare.json").exists()
@@ -207,7 +207,7 @@ def test_replay_reads_its_inputs_from_any_directory(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert _run(["generate", "--n", 12, "--d", 2, "--p", 2, "--r", 0.3, "--out", "gen"]) == 0
     assert _run(["spectrum", "--input", "gen/points.csv", "--p", 2, "--r", 0.3, "--plot", "--out", "sp"]) == 0
-    argv = ["compare", "--esd-a", "sp/eigenvalues.csv", "--esd-b", "sp/eigenvalues.csv", "--oracle", "--oracle-step", 0.01]
+    argv = ["compare", "--esd", "sp/eigenvalues.csv", "sp/eigenvalues.csv", "--oracle", 0.01]
     assert _run(argv + ["--plot", "--out", "cmp"]) == 0
     monkeypatch.chdir(tmp_path / "elsewhere")
     for name, files in (("sp", ["eigenvalues.csv", "cdf.svg"]), ("cmp", ["compare.json", "cdf.svg"])):
@@ -228,9 +228,9 @@ def test_bounds_and_spectrum_report_the_ceiling_alike(tmp_path, capsys):
 
 def test_compare_identical_files(tmp_path, capsys):
     sp = tmp_path / "sp"
-    assert _run(["spectrum", "--dgg", "8,1,0.25", "--out", sp]) == 0
+    assert _run(["spectrum", "--dgg", "8,1", "--r", 0.25, "--out", sp]) == 0
     out = tmp_path / "cmp"
-    rc = _run(["compare", "--esd-a", sp / "eigenvalues.csv", "--esd-b", sp / "eigenvalues.csv", "--oracle", "--out", out])
+    rc = _run(["compare", "--esd", sp / "eigenvalues.csv", sp / "eigenvalues.csv", "--oracle", "--out", out])
     assert rc == 0
     captured = capsys.readouterr().out
     assert "levy = 0" in captured
@@ -241,15 +241,15 @@ def test_compare_identical_files(tmp_path, capsys):
 
 
 def _eigenvalue_files(tmp_path) -> tuple[Path, Path]:
-    for name, dgg in (("a", "8,1,0.25"), ("b", "8,1,0.4")):
-        assert _run(["spectrum", "--dgg", dgg, "--out", tmp_path / name]) == 0
+    for name, r in (("a", 0.25), ("b", 0.4)):
+        assert _run(["spectrum", "--dgg", "8,1", "--r", r, "--out", tmp_path / name]) == 0
     return tmp_path / "a" / "eigenvalues.csv", tmp_path / "b" / "eigenvalues.csv"
 
 
 def test_compare_plots_in_file_mode(tmp_path):
     esd_a, esd_b = _eigenvalue_files(tmp_path)
     out = tmp_path / "cmp"
-    assert _run(["compare", "--esd-a", esd_a, "--esd-b", esd_b, "--plot", "--out", out]) == 0
+    assert _run(["compare", "--esd", esd_a, esd_b, "--plot", "--out", out]) == 0
     svg = (out / "cdf.svg").read_text()
     assert svg.startswith("<svg ") and svg.count("<path ") == 2
     replayed = tmp_path / "replayed"
@@ -260,23 +260,34 @@ def test_compare_plots_in_file_mode(tmp_path):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["compare", "--esd-a", "a.csv", "--esd-b", "b.csv", "--n", 256], "read only with --fig1"),
-        (["compare", "--esd-a", "a.csv", "--esd-b", "b.csv", "--d", 1], "read only with --fig1"),
-        (["compare", "--esd-a", "a.csv", "--esd-b", "b.csv", "--seed", 1], "read only with --fig1"),
-        (["compare", "--fig1", "--esd-b", "b.csv"], "--esd-b needs --esd-a"),
+        (["compare", "--esd", "a.csv", "b.csv", "--n", 256], "read only with --fig1"),
+        (["compare", "--esd", "a.csv", "b.csv", "--d", 1], "read only with --fig1"),
+        (["compare", "--esd", "a.csv", "b.csv", "--seed", 1], "read only with --fig1"),
+        (["compare", "--fig1", "--esd", "a.csv", "b.csv"], "argument --esd: not allowed with argument --fig1"),
         (["generate", "--N", 5, "--d", 2, "--r", 0.21, "--seed", 5], "--seed is read only with --n"),
-        (["spectrum", "--dgg", "8,1,0.25", "--r", 0.4], "--r is read only with --input"),
-        (["spectrum", "--dgg", "6,1,0.2", "--method", "closed", "--p", 2], "unrecognized arguments: --method closed"),
+        (["spectrum", "--dgg", "8,1,0.25", "--r", 0.4], "argument --dgg: --dgg needs 'N,d', got '8,1,0.25'"),
+        (["spectrum", "--dgg", "6,1", "--r", 0.2, "--method", "closed", "--p", 2], "unrecognized arguments: --method closed"),
         (["bounds", "--N", 8, "--d", 1, "--r", 0.3, "--t", 1, "--trials", 1, "--bogus"], "unrecognized arguments: --bogus"),
-        (["compare", "--esd-a", "a.csv", "--esd-b", "b.csv", "--oracle-step", 0.01], "--oracle-step is read only with --oracle"),
-        (["compare", "--fig1", "--oracle", "--oracle-step", 0], "--oracle-step must be positive, got 0.0"),
-        (["compare", "--fig1", "--oracle", "--oracle-step", -1], "--oracle-step must be positive, got -1.0"),
-        (["compare", "--fig1", "--oracle", "--oracle-step", "nan"], "--oracle-step must be positive, got nan"),
+        (["compare", "--esd-a", "a.csv", "--esd-b", "b.csv"], "one of the arguments --fig1 --esd is required"),
+        (["compare", "--esd", "a.csv", "b.csv", "--esd-b", "b.csv"], "unrecognized arguments: --esd-b b.csv"),
+        (["compare", "--fig1", "--oracle", "--oracle-step", 0.01], "unrecognized arguments: --oracle-step 0.01"),
+        (["compare", "--fig1", "--oracle", 0], "argument --oracle: the oracle step must be finite and at least 1e-4, got 0"),
+        (["compare", "--fig1", "--oracle", -1], "argument --oracle: the oracle step must be finite and at least 1e-4, got -1"),
+        (["compare", "--fig1", "--oracle", "nan"], "argument --oracle: the oracle step must be finite and at least 1e-4, got nan"),
+        (["compare", "--fig1", "--oracle", "9.9e-5"], "argument --oracle: the oracle step must be finite and at least 1e-4, got 9.9e-5"),
+        (["compare", "--fig1", "--oracle", "inf"], "argument --oracle: the oracle step must be finite and at least 1e-4, got inf"),
+        (["compare", "--fig1", "--oracle", "tiny"], "argument --oracle: invalid oracle step 'tiny'"),
     ],
-    ids=["files-n", "files-d", "files-seed", "fig1-esd-b", "grid-seed", "dgg-r", "closed-p2", "unknown-option", "step-without-oracle", "step-zero", "step-negative", "step-nan"],
+    ids=[
+        "files-n", "files-d", "files-seed", "fig1-esd", "grid-seed", "dgg-three-parts", "closed-p2", "unknown-option",
+        "esd-a", "esd-b", "oracle-step", "step-zero", "step-negative", "step-nan", "step-below-floor", "step-inf",
+        "step-not-a-number",
+    ],
 )
 def test_options_a_mode_never_reads_are_refused(tmp_path, capsys, argv, message):
-    """Refused through the subcommand's parser: its usage line and prog."""
+    """Refused through the subcommand's parser: its usage line and prog.  So
+    are the unknown flags --esd-a, --esd-b and --oracle-step, a three-part
+    --dgg, and an oracle step that is not finite or is below 1e-4."""
     with pytest.raises(SystemExit) as excinfo:
         _run(argv + ["--out", tmp_path / "out"])
     assert excinfo.value.code == 2
@@ -288,12 +299,13 @@ def test_options_a_mode_never_reads_are_refused(tmp_path, capsys, argv, message)
 
 def test_compare_manifests_record_only_the_options_their_mode_reads(tmp_path):
     esd_a, esd_b = _eigenvalue_files(tmp_path)
-    assert _run(["compare", "--esd-a", esd_a, "--esd-b", esd_b, "--out", tmp_path / "files"]) == 0
+    assert _run(["compare", "--esd", esd_a, esd_b, "--out", tmp_path / "files"]) == 0
     args = json.loads((tmp_path / "files" / "manifest.json").read_text())["args"]
-    assert not {"n", "d", "seed", "oracle_step"} & set(args)
-    for extra, step in ((["--oracle"], 1e-3), (["--oracle", "--oracle-step", 0.01], 0.01)):
-        assert _run(["compare", "--esd-a", esd_a, "--esd-b", esd_b, *extra, "--out", tmp_path / "oracle"]) == 0
-        assert json.loads((tmp_path / "oracle" / "manifest.json").read_text())["args"]["oracle_step"] == step
+    assert not {"n", "d", "seed"} & set(args)
+    assert args["esd"] == [str(esd_a), str(esd_b)] and args["oracle"] is None
+    for extra, step in ((["--oracle"], 1e-3), (["--oracle", 0.01], 0.01), (["--oracle", 1e-4], 1e-4)):
+        assert _run(["compare", "--esd", esd_a, esd_b, *extra, "--out", tmp_path / "oracle"]) == 0
+        assert json.loads((tmp_path / "oracle" / "manifest.json").read_text())["args"]["oracle"] == step
     assert _run(["compare", "--fig1", "--n", 256, "--out", tmp_path / "fig1"]) == 0
     args = json.loads((tmp_path / "fig1" / "manifest.json").read_text())["args"]
     assert (args["n"], args["d"], args["seed"]) == (256, 1, 1)
@@ -304,9 +316,9 @@ def test_replay_refuses_a_file_mode_manifest_that_records_fig1_options(tmp_path,
     mode refuses on the command line is refused in a manifest too."""
     esd_a, esd_b = _eigenvalue_files(tmp_path)
     out = tmp_path / "cmp"
-    assert _run(["compare", "--esd-a", esd_a, "--esd-b", esd_b, "--out", out]) == 0
+    assert _run(["compare", "--esd", esd_a, esd_b, "--out", out]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    manifest["args"].update({"n": 2000, "d": 1, "seed": 1, "oracle_step": 1e-3})
+    manifest["args"].update({"n": 2000, "d": 1, "seed": 1})
     (out / "old.json").write_text(json.dumps(manifest))
     with pytest.raises(SystemExit) as excinfo:
         _run(["replay", "--manifest", out / "old.json", "--out", tmp_path / "replayed"])
@@ -317,7 +329,7 @@ def test_replay_refuses_a_file_mode_manifest_that_records_fig1_options(tmp_path,
 
 def test_compare_requires_partner_file(tmp_path):
     with pytest.raises(SystemExit) as excinfo:
-        _run(["compare", "--esd-a", "whatever.csv", "--out", tmp_path])
+        _run(["compare", "--esd", "whatever.csv", "--out", tmp_path])
     assert excinfo.value.code == 2
 
 
@@ -429,6 +441,7 @@ def test_invalid_metric_exponent_is_usage_error(tmp_path):
 
 _BOUNDS_ARGS = {"N": 8, "d": 1, "p": "inf", "r": 0.45, "t": 10, "a": 2.0, "trials": 3, "seed": 0}
 _GENERATE_ARGS = {"n": 10, "N": None, "d": 1, "p": "inf", "r": 0.2, "seed": 0}
+_COMPARE_ARGS = {"fig1": False, "esd": ["/a.csv", "/b.csv"], "oracle": None, "plot": False}
 
 
 @pytest.mark.parametrize(
@@ -446,18 +459,30 @@ _GENERATE_ARGS = {"n": 10, "N": None, "d": 1, "p": "inf", "r": 0.2, "seed": 0}
         ({"command": "generate", "args": {"n": 10, "d": 1, "r": 0.2, "se": 3}}, "error: manifest 'args' names no generate option: 'se'"),
         ({"command": "generate", "args": {**_GENERATE_ARGS, "help": True}}, "error: manifest 'args' names no generate option: 'help'"),
         (
-            {"command": "spectrum", "args": {"dgg": [8, 1, 0.25], "input": None, "method": "closed", "p": "inf", "plot": False, "r": None}},
+            {"command": "spectrum", "args": {"dgg": [8, 1], "input": None, "method": "closed", "p": "inf", "plot": False, "r": 0.25}},
             "error: manifest 'args' names no spectrum option: 'method'",
         ),
+        (
+            {"command": "spectrum", "args": {"dgg": [8, 1, 0.25], "input": None, "p": "inf", "plot": False, "r": None}},
+            "argument --dgg: --dgg needs 'N,d', got '8,1,0.25'",
+        ),
+        ({"command": "compare", "args": {**_COMPARE_ARGS, "esd": None, "esd_a": "a.csv"}}, "error: manifest 'args' names no compare option: 'esd_a'"),
+        ({"command": "compare", "args": {**_COMPARE_ARGS, "esd_b": "b.csv"}}, "error: manifest 'args' names no compare option: 'esd_b'"),
+        ({"command": "compare", "args": {**_COMPARE_ARGS, "oracle": True, "oracle_step": 0.01}}, "error: manifest 'args' names no compare option: 'oracle_step'"),
+        ({"command": "compare", "args": {**_COMPARE_ARGS, "esd": "/a.csv"}}, "argument --esd: expected 2 arguments"),
+        ({"command": "compare", "args": {**_COMPARE_ARGS, "oracle": 1e-6}}, "argument --oracle: the oracle step must be finite and at least 1e-4, got 1e-06"),
     ],
-    ids=["replay", "plot", "no-command", "bounds-without-d", "args-not-object", "r-not-float", "N-not-int", "bare-number", "unknown-key", "option-prefix", "help", "spectrum-method"],
+    ids=[
+        "replay", "plot", "no-command", "bounds-without-d", "args-not-object", "r-not-float", "N-not-int", "bare-number", "unknown-key",
+        "option-prefix", "help", "spectrum-method", "dgg-three-parts", "esd-a", "esd-b", "oracle-step", "esd-not-a-pair", "oracle-below-floor",
+    ],
 )
 def test_replay_refuses_a_manifest_naming_no_data_command(tmp_path, capsys, monkeypatch, recorded, error):
     """A malformed manifest exits 2 with a message naming the bad field or
     option, either from replay's own checks or from the parser's."""
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps(recorded))
-    for name in ("run_trials", "dgg_eigenvalues_dft"):  # a replay must stop before any work
+    for name in ("run_trials", "dgg_eigenvalues_dft", "figure1_experiment", "_read_csv"):  # a replay must stop before any work
         monkeypatch.setattr(cli, name, None)
     try:
         code = _run(["replay", "--manifest", manifest, "--out", tmp_path / "out"])
@@ -486,9 +511,9 @@ def test_every_data_option_is_named_after_its_dest():
 @pytest.mark.parametrize(
     "argv, code",
     [
-        (["spectrum", "--dgg", "8,1,0.3", "--method", "closed", "--p", 2], "parser exits 2"),
+        (["spectrum", "--dgg", "8,1", "--r", 0.3, "--method", "closed", "--p", 2], "parser exits 2"),
         (["generate", "--n", 40000, "--d", 1, "--r", 0.01], 1),
-        (["compare", "--esd-a", "bad.csv", "--esd-b", "bad.csv"], 2),
+        (["compare", "--esd", "bad.csv", "bad.csv"], 2),
         (["bounds", "--N", 8, "--d", 1, "--r", 0.2, "--t", 10, "--trials", 3], 1),
     ],
     ids=["closed-p2", "generate-past-byte-budget", "compare-parse-error", "bounds-out-of-regime"],
@@ -525,7 +550,7 @@ def test_a_failed_compare_leaves_out_as_it_was(tmp_path, capsys, monkeypatch):
 def test_a_failed_replay_writes_nothing(tmp_path, capsys):
     esd_a, esd_b = _eigenvalue_files(tmp_path)
     out = tmp_path / "cmp"
-    assert _run(["compare", "--esd-a", esd_a, "--esd-b", esd_b, "--plot", "--out", out]) == 0
+    assert _run(["compare", "--esd", esd_a, esd_b, "--plot", "--out", out]) == 0
     before = {path.name: path.read_bytes() for path in out.iterdir()}
     esd_a.write_text("eigenvalue\noops\n")
     for replayed in (out, tmp_path / "replayed"):
@@ -560,12 +585,15 @@ def test_an_out_that_mkdir_refuses_fails_before_any_work(tmp_path, capsys, monke
 
 
 def test_readme_cli_block_parses():
+    """Every documented command line passes the parser and the mode rules of
+    cli._parse, without running."""
     block = README.read_text().split("## CLI", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
     lines = [line for line in block.splitlines() if line.startswith("rgg-spectra ")]
     assert {shlex.split(line)[1] for line in lines} == {"generate", "spectrum", "compare", "bounds", "replay"}
     parser = build_parser()
     for line in lines:
-        parser.parse_args(shlex.split(line, comments=True)[1:])
+        argv = shlex.split(line, comments=True)[1:]
+        assert cli._parse(parser, argv)[0] == argv[0]
 
 
 def test_readme_calls_bind_to_signatures():

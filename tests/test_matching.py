@@ -13,7 +13,7 @@ import pytest
 
 import oracles
 from oracles import bisection_bottleneck, brute_bottleneck
-from rgg_spectra import matching
+from rgg_spectra import geometry, matching
 from rgg_spectra.geometry import INFINITY, MetricSpec, PointSet, grid_points, sample_uniform, torus_distance_matrix
 from rgg_spectra.harness import trial_seed
 from rgg_spectra.matching import bottleneck_matching, bottleneck_rate_envelope
@@ -94,6 +94,22 @@ def test_circle_match_costs_one_distance_matrix_and_one_probe(monkeypatch):
         probes["n"] = distances["n"] = 0
         bottleneck_matching(sample_uniform(128, 1, seed), grid, MetricSpec(d=1, p=INFINITY))
         assert (probes["n"], distances["n"]) == (0, 1)
+
+
+def test_circle_match_refuses_past_the_byte_budget_before_any_work(monkeypatch):
+    """The d = 1 route holds the sorted distance matrix E and the n x 2n copy
+    that _best_shift reads, three n x n float64 arrays.  A limit that E alone
+    fits is refused before the distances are computed; the budget is inclusive."""
+    n = 64
+    sample, grid, m = sample_uniform(n, 1, 3), grid_points(n, 1), MetricSpec(d=1, p=INFINITY)
+    distances = _count_calls(monkeypatch, matching, "torus_distance_matrix")
+    monkeypatch.setattr(geometry, "MAX_PAIRWISE_BYTES", 3 * n * n * 8 - 1)
+    assert n * n * 8 <= geometry.MAX_PAIRWISE_BYTES
+    with pytest.raises(ValueError, match="MAX_PAIRWISE_BYTES"):
+        bottleneck_matching(sample, grid, m)
+    assert distances["n"] == 0
+    monkeypatch.setattr(geometry, "MAX_PAIRWISE_BYTES", 3 * n * n * 8)
+    assert bottleneck_matching(sample, grid, m).m_n == bisection_bottleneck(sample, grid, m).m_n
 
 
 def _circle_points(rng, kind: str, n: int) -> np.ndarray:
