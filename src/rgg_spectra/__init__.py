@@ -48,7 +48,7 @@ from .harness import (
 )
 from .levy import levy_distance, levy_distance_oracle, trace_bound
 from .matching import BottleneckResult, bottleneck_matching, bottleneck_rate_envelope
-from .spectra import MAX_EIG_ORDER, Esd, esd_eval, esd_from_eigenvalues, sym_eigenvalues, twin_classes
+from .spectra import MAX_EIG_ORDER, Esd, esd_eval, sym_eigenvalues, twin_classes
 
 __all__ = [
     "__version__",
@@ -76,7 +76,6 @@ __all__ = [
     "dgg_reach",
     "edge_list_text",
     "esd_eval",
-    "esd_from_eigenvalues",
     "estimate_probability",
     "figure1_experiment",
     "grid_points",

@@ -27,9 +27,10 @@ from .bounds import check_matching_regime, check_tail_parameters, lemma1_degree_
 from .dgg import dgg_band, dgg_eigenvalues_dft
 from .geometry import INFINITY, MetricSpec, PointSet, average_degree, sample_uniform
 from .geometry import grid_points  # noqa: F401  perfbench wraps it here until ROADMAP item 4
-from .graph import build_adjacency, edge_list_text
+from .graph import _refuse_dense, build_adjacency, edge_list_text
 from .harness import (
     ExperimentConfig,
+    TrialResult,
     figure1_experiment,
     lattice_graph,
     probability_from_results,
@@ -37,11 +38,11 @@ from .harness import (
 )
 from .levy import levy_distance, levy_distance_oracle
 from .matching import bottleneck_matching  # noqa: F401  perfbench wraps it here until ROADMAP item 4
-from .spectra import Esd, _check_order, esd_eval, esd_from_eigenvalues, sym_eigenvalues
+from .spectra import Esd, _check_order, esd_eval, sym_eigenvalues
 
-# Figure1Result's array fields: cdf_table.csv and cdf.svg carry them, and
+# Figure1Result's ESDs: cdf_table.csv and cdf.svg carry them, and
 # compare.json every other field.
-_FIG1_ARRAYS = ("x", "cdf_rgg", "cdf_dgg", "esd_rgg", "esd_dgg")
+_FIG1_ARRAYS = ("esd_rgg", "esd_dgg")
 
 
 class CliError(Exception):
@@ -173,11 +174,12 @@ def cmd_generate(opts: dict) -> dict[str, str]:
     if opts.get("N") is not None:
         points, A = lattice_graph(opts["N"], opts["d"], opts["p"], opts["r"])
     else:
+        _refuse_dense(opts["n"])  # the n x n adjacency's budget, checked before sampling
         points = sample_uniform(opts["n"], opts["d"], opts["seed"])
         A = build_adjacency(points, opts["r"], metric)
     header = [f"x{i + 1}" for i in range(points.d)]
     return {
-        "points.csv": _csv_text(header, [points.coords[:, i] for i in range(points.d)]),
+        "points.csv": _csv_text(header, points.coords.T),
         "edges.txt": edge_list_text(A),
     }
 
@@ -188,13 +190,13 @@ def cmd_spectrum(opts: dict) -> dict[str, str]:
         values = dgg_eigenvalues_dft(N, d, opts["p"], opts["r"])
     else:
         coords = _read_csv(opts["input"])
-        points = PointSet(d=coords.shape[1], coords=coords, kind="sample")
+        points = PointSet(coords=coords, kind="sample")
         _check_order(points.n)
         metric = MetricSpec(d=points.d, p=opts["p"])
         values = sym_eigenvalues(build_adjacency(points, opts["r"], metric))
     files = {"eigenvalues.csv": _csv_text(["eigenvalue"], [values])}
     if opts["plot"]:
-        files["cdf.svg"] = _svg_step_plot([esd_from_eigenvalues(values)], "spectral CDF")
+        files["cdf.svg"] = _svg_step_plot([Esd(values)], "spectral CDF")
     return files
 
 
@@ -202,15 +204,16 @@ def cmd_compare(opts: dict) -> dict[str, str]:
     files = {}
     if opts.get("fig1"):
         result = figure1_experiment(n=opts["n"], d=opts["d"], seed=opts["seed"])
-        files["cdf_table.csv"] = _csv_text(["x", "cdf_rgg", "cdf_dgg"], [result.x, result.cdf_rgg, result.cdf_dgg])
         esd_a, esd_b = result.esd_rgg, result.esd_dgg
+        x = np.unique(np.concatenate([esd_a.eigenvalues, esd_b.eigenvalues]))
+        files["cdf_table.csv"] = _csv_text(["x", "cdf_rgg", "cdf_dgg"], [x, esd_eval(esd_a, x), esd_eval(esd_b, x)])
         title = f"empirical vs analytic CDF, n={result.n}"
         payload = {field.name: getattr(result, field.name) for field in dataclasses.fields(result) if field.name not in _FIG1_ARRAYS}
     else:
         table_a, table_b = map(_read_csv, opts["esd"])
         if table_a.shape[1] != 1 or table_b.shape[1] != 1:
             raise CliError(f"--esd needs one eigenvalue column each, got {table_a.shape[1]} and {table_b.shape[1]}")
-        esd_a, esd_b = esd_from_eigenvalues(table_a[:, 0]), esd_from_eigenvalues(table_b[:, 0])
+        esd_a, esd_b = Esd(table_a), Esd(table_b)
         title = "CDFs of --esd-a and --esd-b"  # this exact text keeps file-mode cdf.svg byte-identical to earlier releases
         payload = {"levy": levy_distance(esd_a, esd_b)}
     if opts["plot"]:
@@ -255,13 +258,13 @@ def cmd_bounds(opts: dict) -> dict[str, str]:
         "trials": config.pop("trials"),
         "config": config,
     }
-    rows = [[i, result.levy_cubed, result.trace_bound, result.m_n, result.xi_n] for i, result in enumerate(results)]
+    rows = [[i, *dataclasses.astuple(result)] for i, result in enumerate(results)]
     print(f"p_hat = {_fmt(p_hat)}")
     print(f"stderr = {_fmt(stderr)}")
     print(f"total = {_fmt(min(theorem1.total, 1.0))}")
     return {
         "bounds.json": _json_text(payload),
-        "trials.csv": _csv_text(["trial", "levy_cubed", "trace_bound", "m_n", "xi_n"], np.array(rows, dtype=float).T),
+        "trials.csv": _csv_text(["trial", *(field.name for field in dataclasses.fields(TrialResult))], np.array(rows, dtype=float).T),
     }
 
 

@@ -52,17 +52,16 @@ class MetricSpec:
 class PointSet:
     """n points in [0,1)^d with a kind tag, SAMPLE or GRID.
 
-    coords is an (n, d) float array, frozen after construction.
+    coords is an (n, d) float array, frozen after construction; d is its width.
     """
 
-    d: int
     coords: np.ndarray = field(repr=False)
     kind: str
 
     def __post_init__(self) -> None:
         coords = np.ascontiguousarray(np.asarray(self.coords, dtype=float))
-        if coords.ndim != 2 or coords.shape[1] != self.d:
-            raise ValueError(f"coords must have shape (n, {self.d}), got {coords.shape}")
+        if coords.ndim != 2:
+            raise ValueError(f"coords must be a 2-D (n, d) array, got shape {coords.shape}")
         if coords.size and not (coords.min() >= 0.0 and coords.max() < 1.0):  # NaN fails both
             raise ValueError("coordinates must lie in [0, 1)")
         if self.kind not in (SAMPLE, GRID):
@@ -73,6 +72,10 @@ class PointSet:
     @property
     def n(self) -> int:
         return self.coords.shape[0]
+
+    @property
+    def d(self) -> int:
+        return self.coords.shape[1]
 
 
 def _torus_distances(a: np.ndarray, b: np.ndarray, p: float) -> np.ndarray:
@@ -181,7 +184,7 @@ def sample_uniform(n: int, d: int, seed: int) -> PointSet:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     rng = np.random.default_rng(seed)
-    return PointSet(d=d, coords=rng.random((n, d)), kind=SAMPLE)
+    return PointSet(coords=rng.random((n, d)), kind=SAMPLE)
 
 
 def grid_points(N: int, d: int) -> PointSet:
@@ -193,4 +196,4 @@ def grid_points(N: int, d: int) -> PointSet:
         raise ValueError(f"grid of N^d = {n} points exceeds the size limit {_MAX_GRID_POINTS}")
     axes = np.meshgrid(*(np.arange(N),) * d, indexing="ij")
     coords = np.stack(axes, axis=-1).reshape(n, d) / N
-    return PointSet(d=d, coords=coords, kind=GRID)
+    return PointSet(coords=coords, kind=GRID)

@@ -26,7 +26,7 @@ from .geometry import INFINITY, MetricSpec, PointSet, average_degree, grid_point
 from .graph import AdjacencyMatrix, _aligned, _refuse_dense, build_adjacency
 from .levy import levy_distance, trace_bound
 from .matching import bottleneck_matching
-from .spectra import Esd, _check_order, esd_eval, esd_from_eigenvalues, sym_eigenvalues, twin_classes
+from .spectra import Esd, _check_order, sym_eigenvalues, twin_classes
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -92,11 +92,12 @@ def lattice_graph(N: int, d: int, p: float, r: float) -> tuple[PointSet, Adjacen
 
     Entry (i, j) is dgg_band at the offset (j - i) mod N of the grid's
     multi-indices: row i is a window of the band tiled twice per axis.  An
-    n x n result past MAX_PAIRWISE_BYTES is refused before allocating.
+    n x n result past MAX_PAIRWISE_BYTES is refused before the grid or the
+    band is built.
     """
+    _refuse_dense(N**d)
     grid = grid_points(N, d)
     band = dgg_band(N, d, p, r)
-    _refuse_dense(grid.n)
     windows = np.lib.stride_tricks.sliding_window_view(np.tile(band, (2,) * d), band.shape)
     return grid, AdjacencyMatrix(entries=windows[(slice(N, 0, -1),) * d].reshape(grid.n, grid.n))
 
@@ -109,7 +110,7 @@ def _dgg_esd(N: int, d: int, p: float, r: float) -> Esd:
     where the l_infinity cube wraps onto itself (2k+1 > N: the lattice is
     then the complete graph) and the closed form no longer applies.
     """
-    return esd_from_eigenvalues(dgg_eigenvalues_dft(N, d, p, r))
+    return Esd(dgg_eigenvalues_dft(N, d, p, r))
 
 
 def run_trial(cfg: ExperimentConfig, trial_index: int) -> TrialResult:
@@ -122,7 +123,7 @@ def run_trial(cfg: ExperimentConfig, trial_index: int) -> TrialResult:
     grid, A_D = lattice_graph(cfg.N, cfg.d, cfg.p, r)
     sample = sample_uniform(n, cfg.d, trial_seed(cfg.seed, trial_index))
     A_X = build_adjacency(sample, r, metric)
-    esd_rgg = esd_from_eigenvalues(sym_eigenvalues(A_X))
+    esd_rgg = Esd(sym_eigenvalues(A_X))
     levy = levy_distance(esd_rgg, esd_dgg)
     bottleneck = bottleneck_matching(sample, grid, metric)
     return TrialResult(
@@ -169,7 +170,8 @@ ATOM_TOLERANCE = 1e-9
 
 @dataclass(frozen=True)
 class Figure1Result:
-    """Paired-CDF table: merged x grid, both CDFs, and their Levy distance.
+    """Figure 1: the random-graph and lattice ESDs, their Levy distance, and
+    the run's parameters and scales.
 
     twin_frac is 1 - (number of true-twin classes)/n for the random graph,
     and atom_minus1_frac the share of its eigenvalues within ATOM_TOLERANCE of
@@ -177,9 +179,6 @@ class Figure1Result:
     distance near 0.15.
     """
 
-    x: np.ndarray = field(repr=False)
-    cdf_rgg: np.ndarray = field(repr=False)
-    cdf_dgg: np.ndarray = field(repr=False)
     levy: float
     n: int
     d: int
@@ -197,9 +196,8 @@ def figure1_experiment(n: int = 2000, d: int = 1, seed: int = 1) -> Figure1Resul
 
     n must be a perfect d-th power so the lattice has the same size, and at
     most MAX_EIG_ORDER; the reported reach k needs 2k+1 <= N (dgg_reach).
-    All three are checked before sampling.  Emits the union-of-atoms x grid,
-    the random-graph empirical CDF, the lattice CDF, their Levy distance, and
-    the random graph's twin share and -1 atom.
+    All three are checked before sampling.  Emits both ESDs, their Levy
+    distance, and the random graph's twin share and -1 atom.
     """
     N = round(n ** (1.0 / d))
     if N**d != n:
@@ -211,13 +209,9 @@ def figure1_experiment(n: int = 2000, d: int = 1, seed: int = 1) -> Figure1Resul
     esd_dgg = _dgg_esd(N, d, INFINITY, r)
     sample = sample_uniform(n, d, seed)
     A = build_adjacency(sample, r, MetricSpec(d=d, p=INFINITY))
-    esd_rgg = esd_from_eigenvalues(sym_eigenvalues(A))
+    esd_rgg = Esd(sym_eigenvalues(A))
 
-    x = np.unique(np.concatenate([esd_rgg.eigenvalues, esd_dgg.eigenvalues]))
     return Figure1Result(
-        x=x,
-        cdf_rgg=esd_eval(esd_rgg, x),
-        cdf_dgg=esd_eval(esd_dgg, x),
         levy=levy_distance(esd_rgg, esd_dgg),
         n=n,
         d=d,

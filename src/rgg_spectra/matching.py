@@ -300,8 +300,8 @@ def _circle_matching(sample: PointSet, grid: PointSet, m: MetricSpec) -> Bottlen
     _check_pairwise_bytes(3 * n * n * 8, f"the sorted d = 1 distances of {n} points and their doubled copy")
     sample_order = np.argsort(sample.coords[:, 0], kind="stable")
     grid_order = np.argsort(grid.coords[:, 0], kind="stable")
-    a = PointSet(d=1, coords=sample.coords[sample_order], kind=sample.kind)
-    b = PointSet(d=1, coords=grid.coords[grid_order], kind=grid.kind)
+    a = PointSet(coords=sample.coords[sample_order], kind=sample.kind)
+    b = PointSet(coords=grid.coords[grid_order], kind=grid.kind)
     E = torus_distance_matrix(a, b, m)
     best = (np.arange(n) + _best_shift(E)) % n
     lam = float(E[np.arange(n), best].max())
@@ -326,7 +326,7 @@ def bottleneck_matching(sample: PointSet, grid: PointSet, m: MetricSpec) -> Bott
     if m.d == 1:
         return _circle_matching(sample, grid, m)
     cols = _column_order(grid.n)
-    grid = PointSet(d=grid.d, coords=grid.coords[cols], kind=grid.kind)
+    grid = PointSet(coords=grid.coords[cols], kind=grid.kind)
     m_n, best = _search(torus_distance_matrix(sample, grid, m), None)
     return BottleneckResult(m_n=m_n, assignment=cols[best])
 

@@ -70,12 +70,20 @@ def sym_eigenvalues(A: AdjacencyMatrix) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Esd:
-    """Empirical spectral distribution: ascending eigenvalues, step CDF."""
+    """Empirical spectral distribution: ascending eigenvalues, step CDF.
+
+    Esd(values) is the one constructor: it flattens and sorts a copy of
+    values, refuses an empty or non-finite vector, and freezes the copy.
+    """
 
     eigenvalues: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        v = np.ascontiguousarray(np.asarray(self.eigenvalues, dtype=float))
+        v = np.sort(np.asarray(self.eigenvalues, dtype=float), axis=None)
+        if v.size == 0:
+            raise ValueError("an ESD needs at least one eigenvalue")
+        if not np.isfinite(v).all():
+            raise ValueError("eigenvalues must be finite")
         v.flags.writeable = False
         object.__setattr__(self, "eigenvalues", v)
 
@@ -87,16 +95,6 @@ class Esd:
     @property
     def n(self) -> int:
         return self.eigenvalues.shape[0]
-
-
-def esd_from_eigenvalues(v) -> Esd:
-    """Sort a finite nonempty eigenvalue vector into an Esd."""
-    v = np.asarray(v, dtype=float).ravel()
-    if v.size == 0:
-        raise ValueError("an ESD needs at least one eigenvalue")
-    if not np.isfinite(v).all():
-        raise ValueError("eigenvalues must be finite")
-    return Esd(eigenvalues=np.sort(v))
 
 
 def esd_eval(F: Esd, x):

@@ -26,7 +26,7 @@ from rgg_spectra.graph import AdjacencyMatrix, build_adjacency
 from rgg_spectra.harness import ExperimentConfig, figure1_experiment, probability_from_results, run_trials
 from rgg_spectra.levy import levy_distance, levy_distance_oracle, trace_bound
 from rgg_spectra.matching import bottleneck_matching
-from rgg_spectra.spectra import esd_from_eigenvalues, sym_eigenvalues
+from rgg_spectra.spectra import Esd, sym_eigenvalues
 
 
 def _verdict(number: int, ok: bool, detail: str) -> None:
@@ -73,7 +73,7 @@ def test_criterion_03_trace_bound_property_suite():
         n = int(rng.integers(2, 51))
         a = AdjacencyMatrix(entries=random_symmetric_01(n, float(rng.uniform(0.05, 0.95)), rng))
         b = AdjacencyMatrix(entries=random_symmetric_01(n, float(rng.uniform(0.05, 0.95)), rng))
-        levy = levy_distance(esd_from_eigenvalues(sym_eigenvalues(a)), esd_from_eigenvalues(sym_eigenvalues(b)))
+        levy = levy_distance(Esd(sym_eigenvalues(a)), Esd(sym_eigenvalues(b)))
         margin = levy**3 - trace_bound(a, b)
         worst_margin = max(worst_margin, margin)
     ok = worst_margin <= 1e-9
@@ -85,8 +85,8 @@ def test_criterion_04_levy_oracle_equivalence():
     rng = np.random.default_rng(103)
     worst = 0.0
     for _ in range(50):
-        f = esd_from_eigenvalues(rng.uniform(-2.5, 2.5, size=int(rng.integers(1, 21))))
-        g = esd_from_eigenvalues(rng.uniform(-2.5, 2.5, size=int(rng.integers(1, 21))))
+        f = Esd(rng.uniform(-2.5, 2.5, size=int(rng.integers(1, 21))))
+        g = Esd(rng.uniform(-2.5, 2.5, size=int(rng.integers(1, 21))))
         exact = levy_distance(f, g)
         grid = levy_distance_oracle(f, g, 1e-3)
         worst = max(worst, abs(exact - grid))
@@ -103,8 +103,8 @@ def test_criterion_05_bottleneck_optimality_and_rate():
         p = (1, 2, INFINITY)[trial % 3]
         n = int(rng.integers(2, 8))
         m = MetricSpec(d=d, p=p)
-        a = PointSet(d=d, coords=rng.random((n, d)), kind="sample")
-        b = PointSet(d=d, coords=rng.random((n, d)), kind="sample")
+        a = PointSet(coords=rng.random((n, d)), kind="sample")
+        b = PointSet(coords=rng.random((n, d)), kind="sample")
         if bottleneck_matching(a, b, m).m_n != brute_bottleneck(a, b, m):
             mismatches += 1
     sizes = (4, 8, 16, 32)
@@ -161,7 +161,7 @@ def test_criterion_07_decomposition_identity():
         A_X, A_D = build_adjacency(sample, r, m), build_adjacency(grid, r, m)
         t0 = trace_bound(A_X.entries, A_D.entries[np.ix_(matching, matching)])
         _, t1 = lemma4_matrix_terms(A_X, A_D, matching, r, m)
-        esd_x, esd_d = (esd_from_eigenvalues(sym_eigenvalues(A)) for A in (A_X, A_D))
+        esd_x, esd_d = (Esd(sym_eigenvalues(A)) for A in (A_X, A_D))
         worst_gap = max(worst_gap, abs(t0 - t1))
         worst_chain = max(worst_chain, levy_distance(esd_x, esd_d) ** 3 - t0)
     ok = worst_gap <= 1e-9 and worst_chain <= 1e-9

@@ -20,12 +20,12 @@ from rgg_spectra.geometry import INFINITY, MetricSpec, ball_volume_theta, grid_p
 from rgg_spectra.graph import build_adjacency
 from rgg_spectra.harness import lattice_graph
 from rgg_spectra.levy import levy_distance, trace_bound
-from rgg_spectra.spectra import esd_from_eigenvalues, sym_eigenvalues
+from rgg_spectra.spectra import Esd, sym_eigenvalues
 
 
 def _levy_cubed(A_X, A_D) -> float:
     """Cubed Levy distance between the two adjacency spectra."""
-    esd_x, esd_d = (esd_from_eigenvalues(sym_eigenvalues(A)) for A in (A_X, A_D))
+    esd_x, esd_d = (Esd(sym_eigenvalues(A)) for A in (A_X, A_D))
     return levy_distance(esd_x, esd_d) ** 3
 
 
@@ -156,7 +156,7 @@ def _terms_from_counts(A_X, A_D, matching, r, m):
 
 def test_decomposition_identity_on_identity_instance():
     grid = grid_points(4, 2)
-    sample = type(grid)(d=2, coords=grid.coords.copy(), kind="sample")
+    sample = type(grid)(coords=grid.coords.copy(), kind="sample")
     m = MetricSpec(d=2, p=INFINITY)
     A_X, A_D = build_adjacency(sample, 0.3, m), build_adjacency(grid, 0.3, m)
     terms, t1 = lemma4_matrix_terms(A_X, A_D, np.arange(16), 0.3, m)

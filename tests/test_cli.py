@@ -58,6 +58,15 @@ def test_generate_grid_at_a_tie_radius_writes_the_regular_lattice(tmp_path):
     assert degrees.min() == degrees.max() == 112
 
 
+def test_generate_refuses_a_dense_adjacency_before_sampling(tmp_path, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the points were sampled before the byte budget was checked")
+
+    monkeypatch.setattr(cli, "sample_uniform", refuse)
+    assert _run(["generate", "--n", 40000, "--d", 1, "--r", 0.01, "--out", tmp_path]) == 1
+    assert "MAX_PAIRWISE_BYTES" in capsys.readouterr().err
+
+
 def test_generate_missing_radius_is_usage_error(tmp_path):
     with pytest.raises(SystemExit) as excinfo:
         _run(["generate", "--N", 4, "--d", 1, "--out", tmp_path])
@@ -338,13 +347,16 @@ def test_compare_fig1_small(tmp_path):
     assert _run(["compare", "--fig1", "--n", 256, "--d", 1, "--seed", 3, "--plot", "--out", out]) == 0
     table = (out / "cdf_table.csv").read_text().splitlines()
     assert table[0] == "x,cdf_rgg,cdf_dgg"
-    assert len(table) > 10
+    x, cdf_rgg, cdf_dgg = np.array([row.split(",") for row in table[1:]], dtype=float).T
+    assert len(x) > 10 and np.all(np.diff(x) > 0)
+    for cdf in (cdf_rgg, cdf_dgg):
+        assert np.all(np.diff(cdf) >= 0) and 0 <= cdf[0] and cdf[-1] == 1.0
     payload = json.loads((out / "compare.json").read_text())
     assert payload["n"] == 256
     assert 0 <= payload["levy"] <= 1.5
     assert 0 < payload["twin_frac"] <= payload["atom_minus1_frac"] < 1
     assert (out / "cdf.svg").exists()
-    scalars = {field.name for field in dataclasses.fields(harness.Figure1Result)} - {"x", "cdf_rgg", "cdf_dgg", "esd_rgg", "esd_dgg"}
+    scalars = {field.name for field in dataclasses.fields(harness.Figure1Result)} - {"esd_rgg", "esd_dgg"}
     assert set(payload) == scalars | {"levy_cubed", "trace_bound"}
     assert _run(["compare", "--fig1", "--n", 256, "--oracle", "--out", tmp_path / "oracle"]) == 0
     assert set(json.loads((tmp_path / "oracle" / "compare.json").read_text())) == scalars | {"levy_cubed", "trace_bound", "oracle"}
@@ -365,7 +377,8 @@ def test_bounds_command_and_replay(tmp_path):
         assert payload["p_hat"] <= 1.0
         assert set(payload["config"]) == config_keys and payload["trials"] == 3
         trials_rows = (out / "trials.csv").read_text().splitlines()
-        assert trials_rows[0] == "trial,levy_cubed,trace_bound,m_n,xi_n"
+        assert trials_rows[0] == "trial,levy_cubed,trace_bound,m_n,xi_n"  # the order perfbench reads
+        assert trials_rows[0].split(",")[1:] == [field.name for field in dataclasses.fields(harness.TrialResult)]
         assert len(trials_rows) == 4
         # The Lemma-4 terms are trial 0's: rebuild its two graphs and matching
         # here and evaluate the matrix form.

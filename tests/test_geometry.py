@@ -44,7 +44,7 @@ def test_distance_matches_hand_values():
 
 def test_distance_matrix_shape_and_symmetry():
     rng = np.random.default_rng(5)
-    pts = PointSet(d=2, coords=rng.random((7, 2)), kind="sample")
+    pts = PointSet(coords=rng.random((7, 2)), kind="sample")
     m = MetricSpec(d=2, p=2)
     D = torus_distance_matrix(pts, pts, m)
     assert D.shape == (7, 7)
@@ -58,8 +58,8 @@ def test_distance_matrix_shape_and_symmetry():
 @pytest.mark.parametrize("d", range(1, 11))
 def test_per_axis_kernel_matches_the_axis_reduction(d, p):
     rng = np.random.default_rng(10 * d + 3)
-    a = PointSet(d=d, coords=rng.random((37, d)), kind="sample")
-    b = PointSet(d=d, coords=np.concatenate([rng.random((29, d)), a.coords[:5]]), kind="sample")
+    a = PointSet(coords=rng.random((37, d)), kind="sample")
+    b = PointSet(coords=np.concatenate([rng.random((29, d)), a.coords[:5]]), kind="sample")
     m = MetricSpec(d=d, p=p)
     D = torus_distance_matrix(a, b, m)
     expected = axis_reduction_distances(a.coords, b.coords, p)
@@ -151,12 +151,16 @@ def test_distance_matrix_refuses_past_the_byte_budget(monkeypatch):
 
 def test_point_set_validation():
     with pytest.raises(ValueError):
-        PointSet(d=1, coords=np.array([[0.0], [1.0]]), kind="sample")  # 1.0 excluded
+        PointSet(coords=np.array([[0.0], [1.0]]), kind="sample")  # 1.0 excluded
     with pytest.raises(ValueError):
-        PointSet(d=2, coords=np.array([[0.0, -0.1]]), kind="sample")
+        PointSet(coords=np.array([[0.0, -0.1]]), kind="sample")
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match=r"\[0, 1\)"):
-            PointSet(d=1, coords=np.array([[0.1], [bad], [0.3]]), kind="sample")
-    pts = PointSet(d=1, coords=np.array([[0.0], [0.5]]), kind="sample")
+            PointSet(coords=np.array([[0.1], [bad], [0.3]]), kind="sample")
+    for flat in (np.array([0.1, 0.3]), np.zeros((2, 1, 1))):
+        with pytest.raises(ValueError, match="2-D"):
+            PointSet(coords=flat, kind="sample")
+    pts = PointSet(coords=np.array([[0.0], [0.5]]), kind="sample")
+    assert (pts.n, pts.d) == (2, 1) and sample_uniform(5, 3, 1).d == 3
     with pytest.raises(ValueError):
         pts.coords[0, 0] = 0.7  # frozen buffer

@@ -14,7 +14,7 @@ from rgg_spectra.graph import AdjacencyMatrix, build_adjacency, edge_list_text
 
 
 def test_edge_rule_is_closed_at_radius():
-    pts = PointSet(d=1, coords=np.array([[0.0], [0.3]]), kind="sample")
+    pts = PointSet(coords=np.array([[0.0], [0.3]]), kind="sample")
     m = MetricSpec(d=1, p=INFINITY)
     assert build_adjacency(pts, 0.3, m).entries[0, 1] == 1  # distance == r
     assert build_adjacency(pts, 0.2999999, m).entries[0, 1] == 0
@@ -50,7 +50,7 @@ def _tie_radii(N: int) -> tuple[float, ...]:
 
 def _duplicated_sample() -> PointSet:
     pts = sample_uniform(80, 2, 8)
-    return PointSet(d=2, coords=np.concatenate([pts.coords, pts.coords[:30], pts.coords[:5]]), kind="sample")
+    return PointSet(coords=np.concatenate([pts.coords, pts.coords[:30], pts.coords[:5]]), kind="sample")
 
 
 def _ragged_sample(d: int) -> PointSet:

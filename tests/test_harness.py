@@ -83,6 +83,16 @@ def _linf_ring_reference(N: int, k: int) -> np.ndarray:
     return np.sort([2.0 * math.fsum(np.cos(2.0 * np.pi * ((m * h) % N) / N)) for m in range(N)])
 
 
+def test_lattice_graph_refuses_a_dense_adjacency_before_building_anything(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the grid or the band was built before the byte budget was checked")
+
+    monkeypatch.setattr(harness, "grid_points", refuse)
+    monkeypatch.setattr(harness, "dgg_band", refuse)
+    with pytest.raises(ValueError, match="MAX_PAIRWISE_BYTES"):
+        harness.lattice_graph(2048, 2, INFINITY, 0.01)
+
+
 @pytest.mark.parametrize("N", [256, 2000])
 def test_lattice_spectrum_is_accurate_at_figure1_radii(N):
     # Here the DFT is within 1.6e-14 (N = 256) and 1.1e-13 (N = 2000) of the
@@ -99,7 +109,7 @@ def grid_as_sample(monkeypatch):
     matching cost vanish at every radius, ties included."""
 
     def sample(n, d, seed):
-        return PointSet(d=d, coords=grid_points(round(n ** (1.0 / d)), d).coords, kind="sample")
+        return PointSet(coords=grid_points(round(n ** (1.0 / d)), d).coords, kind="sample")
 
     def adjacency(points, r, m):
         return harness.lattice_graph(round(points.n ** (1.0 / m.d)), m.d, m.p, r)[1]
@@ -233,14 +243,35 @@ def test_figure1_structure():
     result = figure1_experiment(n=256, d=1, seed=2)
     assert result.n == 256
     assert result.r == pytest.approx(math.log(256) / 16.0, rel=1e-15)
-    assert result.x.shape == result.cdf_rgg.shape == result.cdf_dgg.shape
-    assert np.all(np.diff(result.x) > 0)
-    assert np.all((result.cdf_rgg >= 0) & (result.cdf_rgg <= 1))
-    assert np.all(np.diff(result.cdf_rgg) >= 0)
-    assert result.cdf_rgg[-1] == 1.0 and result.cdf_dgg[-1] == 1.0
+    assert result.esd_rgg.n == result.esd_dgg.n == 256
     assert result.levy >= 0
     assert result.k == int(256 * result.r)
     assert result.a_n_implied == pytest.approx(2 * 256 * result.r, rel=1e-15)
+
+
+def test_recorded_results_do_not_move():
+    """Recorded results, so that a refactor cannot move them silently.  m_n,
+    xi_n and the twin share never pass through LAPACK, so they must match
+    exactly; a Levy distance reads eigenvalues, so it gets 1e-9."""
+    recorded = {
+        ExperimentConfig(N=64, d=1, p=INFINITY, r=0.1, trials=3, seed=11): [
+            (0.00823519475842954, 0.07165408480688862, 395),
+            (0.008235194758429595, 0.04960949940150161, 388),
+            (0.008235194758429485, 0.0871389806792442, 460),
+        ],
+        ExperimentConfig(N=12, d=2, p=2, r=0.3, trials=3, seed=11): [
+            (0.002297065222050759, 0.09818189174798385, 2814),
+            (0.001953125, 0.11594445423531034, 2889),
+            (0.0031014901620370393, 0.12262909876337852, 2922),
+        ],
+    }
+    for cfg, rows in recorded.items():
+        results = run_trials(cfg)
+        assert [(res.m_n, res.xi_n) for res in results] == [(m_n, xi_n) for _, m_n, xi_n in rows]
+        assert [res.levy_cubed for res in results] == pytest.approx([levy_cubed for levy_cubed, _, _ in rows], abs=1e-9)
+    result = figure1_experiment(n=256, seed=1)
+    assert result.levy == pytest.approx(0.15234375, abs=1e-9)
+    assert result.twin_frac == 0.30078125
 
 
 def test_figure1_twin_share_is_a_third():

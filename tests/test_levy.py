@@ -8,42 +8,38 @@ import pytest
 from oracles import brute_trace_quadratic, levy_bisection, levy_feasible, random_symmetric_01
 from rgg_spectra.graph import AdjacencyMatrix
 from rgg_spectra.levy import levy_distance, levy_distance_oracle, trace_bound
-from rgg_spectra.spectra import esd_from_eigenvalues, sym_eigenvalues
-
-
-def _esd(values):
-    return esd_from_eigenvalues(np.asarray(values, dtype=float))
+from rgg_spectra.spectra import Esd, sym_eigenvalues
 
 
 def test_identical_distributions_have_distance_zero():
-    f = _esd([0.0, 1.0, 2.5])
+    f = Esd([0.0, 1.0, 2.5])
     assert levy_distance(f, f) == 0.0
 
 
 def test_point_masses_hand_value():
     # levy(delta_a, delta_b) = min(|b - a|, 1)
-    assert levy_distance(_esd([0.0]), _esd([0.3])) == pytest.approx(0.3, abs=1e-9)
-    assert levy_distance(_esd([0.0]), _esd([5.0])) == pytest.approx(1.0, abs=1e-9)
+    assert levy_distance(Esd([0.0]), Esd([0.3])) == pytest.approx(0.3, abs=1e-9)
+    assert levy_distance(Esd([0.0]), Esd([5.0])) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_mixture_hand_value():
     # F = (delta_0 + delta_1)/2 versus G = delta_0: distance 1/2
-    f = _esd([0.0, 1.0])
-    g = _esd([0.0, 0.0])
+    f = Esd([0.0, 1.0])
+    g = Esd([0.0, 0.0])
     assert levy_distance(f, g) == pytest.approx(0.5, abs=1e-9)
 
 
 def test_symmetry_and_shift_invariance():
     rng = np.random.default_rng(23)
     for _ in range(10):
-        f = _esd(rng.normal(size=rng.integers(1, 12)))
-        g = _esd(rng.normal(size=rng.integers(1, 12)))
+        f = Esd(rng.normal(size=rng.integers(1, 12)))
+        g = Esd(rng.normal(size=rng.integers(1, 12)))
         d_fg = levy_distance(f, g)
         d_gf = levy_distance(g, f)
         assert d_fg == pytest.approx(d_gf, abs=1e-12)
         shift = 3.7
-        fs = _esd(f.eigenvalues + shift)
-        gs = _esd(g.eigenvalues + shift)
+        fs = Esd(f.eigenvalues + shift)
+        gs = Esd(g.eigenvalues + shift)
         assert levy_distance(fs, gs) == pytest.approx(d_fg, abs=1e-9)
 
 
@@ -51,8 +47,8 @@ def test_exact_matches_oracle_on_random_atom_pairs():
     rng = np.random.default_rng(31)
     step = 1e-3
     for _ in range(10):
-        f = _esd(rng.uniform(-2, 2, size=rng.integers(1, 21)))
-        g = _esd(rng.uniform(-2, 2, size=rng.integers(1, 21)))
+        f = Esd(rng.uniform(-2, 2, size=rng.integers(1, 21)))
+        g = Esd(rng.uniform(-2, 2, size=rng.integers(1, 21)))
         exact = levy_distance(f, g)
         grid = levy_distance_oracle(f, g, step)
         assert abs(exact - grid) <= 2e-3
@@ -68,8 +64,8 @@ def _atoms(rng, size):
 def test_one_pass_agrees_with_bisection_and_is_tight():
     rng = np.random.default_rng(53)
     for _ in range(500):
-        f = _esd(_atoms(rng, int(rng.integers(1, 30))))
-        g = _esd(_atoms(rng, int(rng.integers(1, 30))))
+        f = Esd(_atoms(rng, int(rng.integers(1, 30))))
+        g = Esd(_atoms(rng, int(rng.integers(1, 30))))
         distance = levy_distance(f, g)
         assert abs(distance - levy_bisection(f, g)) <= 1e-9
         assert levy_feasible(f.eigenvalues, g.eigenvalues, distance + 1e-12)
@@ -118,7 +114,7 @@ def test_trace_dominates_levy_cubed_on_random_pairs():
         n = int(rng.integers(2, 51))
         a = AdjacencyMatrix(entries=random_symmetric_01(n, float(rng.uniform(0.1, 0.9)), rng))
         b = AdjacencyMatrix(entries=random_symmetric_01(n, float(rng.uniform(0.1, 0.9)), rng))
-        f = esd_from_eigenvalues(sym_eigenvalues(a))
-        g = esd_from_eigenvalues(sym_eigenvalues(b))
+        f = Esd(sym_eigenvalues(a))
+        g = Esd(sym_eigenvalues(b))
         levy = levy_distance(f, g)
         assert levy**3 <= trace_bound(a, b) + 1e-9

@@ -25,14 +25,14 @@ def test_matches_brute_force_on_small_instances():
     for trial in range(30):
         m = metrics[trial % len(metrics)]
         n = int(rng.integers(2, 7))
-        a = PointSet(d=m.d, coords=rng.random((n, m.d)), kind="sample")
-        b = PointSet(d=m.d, coords=rng.random((n, m.d)), kind="sample")
+        a = PointSet(coords=rng.random((n, m.d)), kind="sample")
+        b = PointSet(coords=rng.random((n, m.d)), kind="sample")
         result = bottleneck_matching(a, b, m)
         assert result.m_n == pytest.approx(brute_bottleneck(a, b, m), abs=1e-15)
 
 
 def _line(*xs: float) -> PointSet:
-    return PointSet(d=1, coords=np.array(xs, dtype=float)[:, None], kind="sample")
+    return PointSet(coords=np.array(xs, dtype=float)[:, None], kind="sample")
 
 
 _D1_CASES = {
@@ -135,7 +135,7 @@ def test_circle_route_agrees_with_the_oracles(monkeypatch):
         n = int(rng.integers(1, 8)) if case % 3 == 0 else int(rng.integers(1, 161))
         m = MetricSpec(d=1, p=(1, 2, 3.5, INFINITY)[case % 4])
         a = _line(*_circle_points(rng, _CIRCLE_KINDS[case % 4], n))
-        b = PointSet(d=1, coords=_circle_points(rng, _CIRCLE_KINDS[(case // 4) % 4], n)[:, None], kind="grid")
+        b = PointSet(coords=_circle_points(rng, _CIRCLE_KINDS[(case // 4) % 4], n)[:, None], kind="grid")
         probes["n"] = 0
         result = bottleneck_matching(a, b, m)
         # Small circles are certified by one probe, larger ones by an arc alone.
@@ -183,7 +183,7 @@ def test_hall_arc_refuses_a_run_the_count_does_not_confirm():
 
 
 def _fallback_case() -> tuple[PointSet, PointSet]:
-    return _line(0.088, 0.350, 0.293), PointSet(d=1, coords=np.array([[0.770], [0.119], [0.819]]), kind="grid")
+    return _line(0.088, 0.350, 0.293), PointSet(coords=np.array([[0.770], [0.119], [0.819]]), kind="grid")
 
 
 def test_circle_fallback_makes_exactly_one_probe(monkeypatch):
@@ -251,8 +251,8 @@ def _unbalanced_clusters() -> tuple[PointSet, PointSet]:
     """Two grid points and one sample near x = 0.2, one grid point and two
     samples near x = 0.5: every point has a partner within about 0.011, but
     one sample must cross to the other cluster, about 0.28 away."""
-    grid = PointSet(d=2, coords=np.array([[0.2, 0.5], [0.21, 0.5], [0.5, 0.5]]), kind="grid")
-    sample = PointSet(d=2, coords=np.array([[0.205, 0.51], [0.49, 0.5], [0.51, 0.5]]), kind="sample")
+    grid = PointSet(coords=np.array([[0.2, 0.5], [0.21, 0.5], [0.5, 0.5]]), kind="grid")
+    sample = PointSet(coords=np.array([[0.205, 0.51], [0.49, 0.5], [0.51, 0.5]]), kind="sample")
     return sample, grid
 
 
@@ -278,8 +278,8 @@ def test_search_widens_when_twice_the_lower_bound_is_infeasible(monkeypatch):
 def test_zero_lower_bound_without_a_zero_matching():
     # Every point coincides with a point of the other set, so lower = 0, but
     # two samples share one grid point: the search must widen past a zero cap.
-    sample = PointSet(d=2, coords=np.array([[0.1, 0.1], [0.1, 0.1], [0.6, 0.3]]), kind="sample")
-    grid = PointSet(d=2, coords=np.array([[0.1, 0.1], [0.6, 0.3], [0.6, 0.3]]), kind="grid")
+    sample = PointSet(coords=np.array([[0.1, 0.1], [0.1, 0.1], [0.6, 0.3]]), kind="sample")
+    grid = PointSet(coords=np.array([[0.1, 0.1], [0.6, 0.3], [0.6, 0.3]]), kind="grid")
     m = MetricSpec(d=2, p=2)
     result = bottleneck_matching(sample, grid, m)
     assert result.m_n == brute_bottleneck(sample, grid, m) > 0
@@ -472,7 +472,7 @@ def test_witness_assignment_achieves_the_value():
 
 def test_identity_instance_has_zero_bottleneck():
     grid = grid_points(5, 2)
-    moved = PointSet(d=2, coords=grid.coords.copy(), kind="sample")
+    moved = PointSet(coords=grid.coords.copy(), kind="sample")
     result = bottleneck_matching(moved, grid, MetricSpec(d=2, p=2))
     assert result.m_n == 0.0
 

@@ -9,10 +9,11 @@ from oracles import jacobi_eigenvalues, random_symmetric_01, twin_classes_oracle
 from rgg_spectra import spectra
 from rgg_spectra.geometry import INFINITY, MetricSpec, PointSet, grid_points, sample_uniform
 from rgg_spectra.graph import AdjacencyMatrix, build_adjacency
+from rgg_spectra.levy import levy_distance
 from rgg_spectra.spectra import (
     MAX_EIG_ORDER,
+    Esd,
     esd_eval,
-    esd_from_eigenvalues,
     sym_eigenvalues,
     twin_classes,
 )
@@ -42,7 +43,7 @@ def test_jacobi_on_adjacency_matrix():
 
 def _duplicated_points() -> PointSet:
     base = sample_uniform(30, 1, 5).coords
-    return PointSet(d=1, coords=np.concatenate([base, base[:10], base[:4]]), kind="sample")
+    return PointSet(coords=np.concatenate([base, base[:10], base[:4]]), kind="sample")
 
 
 # Graphs for the twin-class reduction: (points, r, metric).  The lattices at
@@ -130,17 +131,30 @@ def test_only_adjacency_matrices_are_eigensolved(matrix):
 
 
 def test_esd_sorts_and_validates():
-    esd = esd_from_eigenvalues(np.array([2.0, -1.0, 0.5]))
+    values = np.array([2.0, -1.0, 0.5])
+    esd = Esd(values)
     assert np.array_equal(esd.eigenvalues, np.array([-1.0, 0.5, 2.0]))
     assert esd.n == 3
-    with pytest.raises(ValueError):
-        esd_from_eigenvalues(np.array([]))
-    with pytest.raises(ValueError):
-        esd_from_eigenvalues(np.array([1.0, np.nan]))
+    assert not esd.eigenvalues.flags.writeable and values.flags.writeable  # a frozen copy
+    assert Esd(values[:, None]) == esd  # a one-column table is flattened
+
+
+def test_an_unsorted_or_invalid_esd_cannot_be_built():
+    """Esd sorts its input, so an unsorted vector gives the answers of its
+    sorted copy, and it refuses an empty or non-finite one."""
+    F = Esd([3, 1, 2])
+    assert np.all(np.diff(F.eigenvalues) > 0)
+    assert esd_eval(F, 2.5) == 2 / 3
+    assert levy_distance(F, Esd([1, 2, 3])) == 0
+    with pytest.raises(ValueError, match="at least one eigenvalue"):
+        Esd([])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="must be finite"):
+            Esd([bad, 1])
 
 
 def test_esd_eval_right_continuous_step():
-    esd = esd_from_eigenvalues(np.array([1.0, 2.0, 2.0, 5.0]))
+    esd = Esd(np.array([1.0, 2.0, 2.0, 5.0]))
     assert esd_eval(esd, 0.9) == 0.0
     assert esd_eval(esd, 1.0) == 0.25
     assert esd_eval(esd, 1.5) == 0.25
@@ -151,7 +165,7 @@ def test_esd_eval_right_continuous_step():
 
 
 def test_esd_eval_on_an_array_is_pointwise():
-    esd = esd_from_eigenvalues(np.random.default_rng(19).integers(-3, 4, size=50).astype(float))
+    esd = Esd(np.random.default_rng(19).integers(-3, 4, size=50).astype(float))
     x = np.concatenate([np.unique(esd.eigenvalues), np.linspace(-4.0, 4.0, 33)])
     values = esd_eval(esd, x)
     assert values.shape == x.shape
