@@ -60,13 +60,18 @@ def _csv_text(header: list[str], columns: list[np.ndarray]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _strict(value):
+    """value with each non-finite float spelt "inf", "-inf" or "nan": RFC 8259 has no Infinity or NaN."""
+    if isinstance(value, dict):
+        return {key: _strict(item) for key, item in value.items()}
+    return str(value) if isinstance(value, float) and not np.isfinite(value) else value
+
+
 def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(_strict(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _parse_p(text: str) -> float:
-    if text.strip().lower() in ("inf", "infinity"):
-        return INFINITY
     try:
         p = float(text)
     except ValueError as exc:
@@ -76,18 +81,14 @@ def _parse_p(text: str) -> float:
     return p
 
 
-def _p_for_manifest(p: float):
-    return "inf" if p == INFINITY else p
-
-
 def _manifest_text(command: str, opts: dict) -> str:
-    """manifest.json: every option but --out (p as "inf" or a number, input
-    files as the absolute paths the parser made them, so that a replay from
-    any directory reads them), plus versions.  scipy is imported here for its
-    version only, so that importing the CLI does not load it."""
+    """manifest.json: every option but --out (an infinite p or r as "inf",
+    input files as the absolute paths the parser made them, so that a replay
+    from any directory reads them), plus versions.  scipy is imported here
+    for its version only, so that importing the CLI does not load it."""
     import scipy
 
-    args = {key: _p_for_manifest(value) if key == "p" else value for key, value in opts.items() if key != "out"}
+    args = {key: value for key, value in opts.items() if key != "out"}
     payload = {
         "command": command,
         "args": args,
@@ -244,7 +245,7 @@ def cmd_bounds(opts: dict) -> dict[str, str]:
     lattice_degree = int(dgg_band(cfg.N, cfg.d, cfg.p, r).sum())
     lemma4 = lemma4_decomposition(results[0].trace_bound, results[0].xi_n, lattice_degree, n, r, cfg.metric)
 
-    config = {**dataclasses.asdict(cfg), "p": _p_for_manifest(cfg.p), "a_n": a_n}
+    config = {**dataclasses.asdict(cfg), "a_n": a_n}
     payload = {
         "lemma1": lemma1_degree_bound(cfg.d, cfg.p, a_n),
         "trace": lemma4.t0,

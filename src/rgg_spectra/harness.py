@@ -194,11 +194,13 @@ class Figure1Result:
 def figure1_experiment(n: int = 2000, d: int = 1, seed: int = 1) -> Figure1Result:
     """Connectivity-regime CDF comparison at r = log(n)/sqrt(n), l_infinity.
 
-    n must be a perfect d-th power so the lattice has the same size, and at
-    most MAX_EIG_ORDER; the reported reach k needs 2k+1 <= N (dgg_reach).
-    All three are checked before sampling.  Emits both ESDs, their Levy
-    distance, and the random graph's twin share and -1 atom.
+    n >= 2 must be a perfect d-th power (d >= 1) so the lattice has the same
+    size, and at most MAX_EIG_ORDER; the reported reach k needs 2k+1 <= N
+    (dgg_reach).  All are checked before sampling.  Emits both ESDs, their
+    Levy distance, and the random graph's twin share and -1 atom.
     """
+    if n < 2 or d < 1:
+        raise ValueError(f"figure 1 needs n >= 2 and d >= 1, got n = {n}, d = {d}")
     N = round(n ** (1.0 / d))
     if N**d != n:
         raise ValueError(f"n = {n} is not a perfect {d}-th power")

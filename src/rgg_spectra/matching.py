@@ -11,11 +11,11 @@ _PROBED_CIRCLE_MAX_N for the exception).  The best cyclic shift of
 sorted order is optimal on the circle (see _best_shift), and its value lam
 is certified by a Hall arc: a run of consecutive sorted samples with fewer
 grid points strictly within lam than it has points, so no perfect matching
-exists below lam (see _hall_arc).  The arc is found in O(n) from each
-sample's neighbourhood, an interval of sorted grid indices, and verified by
-exact counting on the distance matrix.  Only if no arc verifies does the
-search fall back to one probe just below lam, resuming the general search
-if that probe is feasible.  Avoiding the probe matters beyond its cost:
+exists below lam (see _hall_arc).  The arc is read from each sample's
+neighbourhood on the distance matrix, its turn of the circle from the
+coordinates, and verified by exact counting.  Only if no arc verifies does
+the search fall back to one probe just below lam, resuming the general
+search if that probe is feasible.  Avoiding the probe matters beyond its cost:
 scipy's Hopcroft-Karp took over 30 s on single d = 1 probes at N = 768 and
 over 60 s at N = 1024, even on shuffled columns.
 
@@ -240,39 +240,32 @@ def _hall_arc(a: np.ndarray, b: np.ndarray, E: np.ndarray, lam: float) -> tuple[
     coordinates and E their distance matrix.
 
     Sample k's neighbourhood {j : E[k, j] < lam} is an arc of the grid
-    circle, written as the lifted index interval [L_k, R_k] of the grid
-    repeated at -1, 0 and +1 (lifted index t is b_{t mod n} + floor(t/n)).
-    L_k comes from the coordinates, which places it on the right turn, and
-    is then moved until it agrees with E; R_k = L_k + (size of the
-    neighbourhood) - 1.  Both rise with k and grow by n per turn, so the
-    samples i..j (i <= j < i + n) have neighbours only in [L_i, R_j], and
-    they are a Hall violator when R_j - L_i + 1 < j - i + 1, i.e.
+    circle, the lifted index interval [L_k, R_k] (lifted index t is
+    b_{t mod n} + floor(t/n)).  Its first column is read from E (for an arc
+    through column 0, size columns before the first one outside), and its
+    turn is rint(a_k - b_col), since that point lies within lam <= 1/2 of
+    a_k; R_k = L_k + size - 1.  Both rise with k and grow by n per turn, so
+    the samples i..j (i <= j < i + n) have neighbours only in [L_i, R_j],
+    and they are a Hall violator when R_j - L_i + 1 < j - i + 1, i.e.
     R_j - j < L_i - i.  Both sides are periodic in the sample index, so the
     run to try starts at the largest L_i - i and ends at the smallest
-    R_j - j.  If no perfect matching exists below lam, that run is a
-    violator: a violator can be reduced to the samples whose neighbourhoods
-    lie in one arc of grid points, and those are consecutive.  The run is
-    accepted only after its neighbourhood is counted exactly on E, so
-    rounding can cost the certificate but never make a false one.
+    R_j - j, over the samples that miss some grid point (no violator holds
+    one that reaches all).  If no perfect matching exists below lam, that
+    run is a violator: a violator can be reduced to the samples whose
+    neighbourhoods lie in one arc of grid points, and those are consecutive.
+    The run is accepted only after its neighbourhood is counted exactly on
+    E, so rounding can cost the certificate but never make a false one.
     """
     n = len(a)
     inside = E < lam
     size = np.count_nonzero(inside, axis=1)
     if not size.all():  # a sample with no neighbour is a run of one
         return int(np.argmin(size)), 1
-    lifted = np.concatenate((b - 1.0, b, b + 1.0))
-    start = np.searchsorted(lifted, a - lam, side="right") - n
-    rows = np.arange(n)
-    # Rounding can misplace the coordinate estimate by a column or two: step
-    # right while the column is outside, left while the one before is inside.
-    for _ in range(n):
-        step = np.where(inside[rows, start % n], np.where(inside[rows, (start - 1) % n], -1, 0), 1)
-        step[size == n] = 0
-        if not step.any():
-            break
-        start += step
-    first = int(np.argmax(start - rows))
-    last = int(np.argmin(start + size - 1 - rows))
+    col = np.where(inside[:, 0], (np.argmin(inside, axis=1) + n - size) % n, np.argmax(inside, axis=1))
+    start = col + n * np.rint(a - b[col]).astype(np.int64) - np.arange(n)  # L_k - k
+    full = size == n
+    first = int(np.argmax(np.where(full, -np.inf, start)))
+    last = int(np.argmin(np.where(full, np.inf, start + size - 1)))
     length = (last - first) % n + 1
     stop = first + length
     covered = inside[first:stop].any(axis=0)

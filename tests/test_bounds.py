@@ -76,6 +76,10 @@ def test_tail_bound_example_values():
     assert report.term1 >= 0 and report.term2 >= 0 and report.term3 >= 0
     assert report.total == pytest.approx(report.term1 + report.term2 + report.term3, rel=1e-15)
     assert not report.vacuous
+    # Past exp's range the generating term saturates at inf and keeps its log.
+    saturated = theorem1_rhs(t=1, n=512, d=1, p=INFINITY, r=0.3, a_n=307.2, M_n=0, a=100)
+    assert saturated.term2 == saturated.term2_volume == saturated.total == math.inf
+    assert saturated.term2_saturated and saturated.term2_log == pytest.approx(1752.555, rel=1e-6)
 
 
 def test_tail_bound_large_t_limit():
@@ -112,6 +116,10 @@ def test_tail_bound_parameter_validation():
         theorem1_rhs(t=1.0, n=64, d=1, p=INFINITY, r=0.2, a_n=2.0, M_n=0.0, a=0.5)  # a < 1
     with pytest.raises(ValueError):
         theorem1_rhs(t=0.0, n=64, d=1, p=INFINITY, r=0.2, a_n=2.0, M_n=0.0, a=2.0)  # t <= 0
+    with pytest.raises(ValueError, match="need a_n > 0"):
+        theorem1_rhs(t=1.0, n=64, d=1, p=INFINITY, r=0.2, a_n=0.0, M_n=0.0, a=2.0)
+    with pytest.raises(ValueError, match="need a_n > 0"):
+        lemma6_variance_bound(1, 0.0)
 
 
 def test_tail_bound_degenerate_chernoff_parameter():

@@ -439,6 +439,33 @@ def test_bounds_huge_threshold(tmp_path, capsys):
     assert payload["theorem1"]["term3"] < 1e-12
 
 
+def _strict_json(path: Path):
+    """A JSON file parsed as RFC 8259 JSON, which has no Infinity, -Infinity or NaN."""
+
+    def refuse(constant):
+        raise ValueError(f"{path} holds {constant}, which is not JSON")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+def test_every_json_file_is_strict_json(tmp_path):
+    # term2 overflows exp here, so bounds.json holds three infinite floats.
+    out = tmp_path / "bounds"
+    assert _run(["bounds", "--N", 512, "--d", 1, "--r", 0.3, "--a", 100, "--t", 1, "--trials", 1, "--out", out]) == 0
+    theorem1 = _strict_json(out / "bounds.json")["theorem1"]
+    assert theorem1["term2"] == theorem1["term2_volume"] == theorem1["total"] == "inf"
+    assert theorem1["term2_saturated"] is True
+    _strict_json(out / "manifest.json")
+    # An infinite radius is recorded as "inf" and replays to the same files.
+    gen = tmp_path / "gen"
+    assert _run(["generate", "--n", 5, "--d", 1, "--r", "inf", "--out", gen]) == 0
+    assert _strict_json(gen / "manifest.json")["args"]["r"] == "inf"
+    replayed = tmp_path / "gen-replayed"
+    assert _run(["replay", "--manifest", gen / "manifest.json", "--out", replayed]) == 0
+    for name in ("points.csv", "edges.txt"):
+        assert (gen / name).read_bytes() == (replayed / name).read_bytes()
+
+
 def test_bounds_degenerate_chernoff(tmp_path):
     out = tmp_path / "a1"
     assert _run(["bounds", "--N", 16, "--d", 1, "--r", 0.499, "--t", 1000, "--a", 1, "--trials", 3, "--seed", 0, "--out", out]) == 0
@@ -447,9 +474,10 @@ def test_bounds_degenerate_chernoff(tmp_path):
 
 
 def test_invalid_metric_exponent_is_usage_error(tmp_path):
-    with pytest.raises(SystemExit) as excinfo:
-        _run(["generate", "--n", 10, "--d", 1, "--p", "0.5", "--r", 0.2, "--out", tmp_path])
-    assert excinfo.value.code == 2
+    for p in ("0.5", "abc"):
+        with pytest.raises(SystemExit) as excinfo:
+            _run(["generate", "--n", 10, "--d", 1, "--p", p, "--r", 0.2, "--out", tmp_path])
+        assert excinfo.value.code == 2
 
 
 _BOUNDS_ARGS = {"N": 8, "d": 1, "p": "inf", "r": 0.45, "t": 10, "a": 2.0, "trials": 3, "seed": 0}

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from rgg_spectra.dgg import dgg_degree, dgg_eigenvalues_closed_form, dgg_eigenvalues_dft, dgg_reach
+from rgg_spectra.dgg import dgg_band, dgg_degree, dgg_eigenvalues_closed_form, dgg_eigenvalues_dft, dgg_reach
 from rgg_spectra.geometry import INFINITY, MetricSpec, grid_points
 from rgg_spectra.graph import build_adjacency
 from rgg_spectra.harness import lattice_graph
@@ -30,6 +30,13 @@ def test_gate_refuses_a_wrapping_cube():
         for N, d, r in ((0, 1, 0.3), (5, 0, 0.3), (5, 1, 0.0), (5, 1, float("nan"))):
             with pytest.raises(ValueError, match="need N >= 1, d >= 1, r > 0"):
                 function(N, d, r)
+    # The band itself, which every p reads, refuses an empty lattice, a
+    # radius that is not positive and a lattice past the size limit.
+    for N, r in ((0, 0.3), (5, 0.0), (5, float("nan"))):
+        with pytest.raises(ValueError, match="need N >= 1, r > 0"):
+            dgg_band(N, 1, INFINITY, r)
+    with pytest.raises(ValueError, match="exceeds the size limit"):
+        dgg_band(2, 40, INFINITY, 0.1)
     # boundary case 2k+1 == N is allowed
     assert dgg_reach(5, 1, 0.45) == 2  # k = 2, 2k+1 = 5
     assert dgg_eigenvalues_closed_form(5, 1, 0.45).shape == (5,)

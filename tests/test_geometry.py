@@ -88,6 +88,13 @@ def test_metric_spec_validation():
         MetricSpec(d=1, p=0.5)
     MetricSpec(d=1, p=1)
     MetricSpec(d=3, p=INFINITY)
+    # The distance functions refuse points of another dimension than the metric's.
+    with pytest.raises(ValueError, match="coordinate vectors of length 2"):
+        torus_distance([0.1, 0.2, 0.3], [0.1, 0.2], MetricSpec(d=2, p=2))
+    with pytest.raises(ValueError, match="disagree on dimension"):
+        torus_distance_matrix(sample_uniform(3, 2, 0), sample_uniform(3, 1, 0), MetricSpec(d=2, p=2))
+    with pytest.raises(ValueError, match="dimension must be >= 1"):
+        ball_volume_theta(0)
 
 
 def test_ball_volume_matches_gamma_formula():
@@ -164,3 +171,9 @@ def test_point_set_validation():
     assert (pts.n, pts.d) == (2, 1) and sample_uniform(5, 3, 1).d == 3
     with pytest.raises(ValueError):
         pts.coords[0, 0] = 0.7  # frozen buffer
+    with pytest.raises(ValueError, match="kind must be"):
+        PointSet(coords=np.array([[0.5]]), kind="lattice")
+    with pytest.raises(ValueError, match="need n >= 1"):
+        sample_uniform(0, 1, 0)
+    with pytest.raises(ValueError, match="need N >= 1"):
+        grid_points(0, 1)

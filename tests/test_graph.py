@@ -115,3 +115,13 @@ def test_adjacency_validation_rejects_bad_matrices():
     diag[1, 1] = 1
     with pytest.raises(ValueError):
         AdjacencyMatrix(entries=diag)
+    with pytest.raises(ValueError, match="must be square"):
+        AdjacencyMatrix(entries=np.zeros((2, 3), dtype=np.uint8))
+    with pytest.raises(ValueError, match="0/1"):
+        AdjacencyMatrix(entries=2 * (1 - np.eye(3, dtype=np.uint8)))
+    points = sample_uniform(4, 2, 0)
+    with pytest.raises(ValueError, match="disagree on dimension"):
+        build_adjacency(points, 0.2, MetricSpec(d=1, p=2))
+    for r in (0.0, -0.1, float("nan")):
+        with pytest.raises(ValueError, match="radius must be positive"):
+            build_adjacency(points, r, MetricSpec(d=2, p=2))

@@ -302,6 +302,10 @@ def test_figure1_searches_the_twin_classes_once(monkeypatch):
 def test_figure1_requires_perfect_power():
     with pytest.raises(ValueError):
         figure1_experiment(n=200, d=2, seed=1)
+    # n < 2 has r = log(n)/sqrt(n) <= 0 or undefined, and d < 1 no root.
+    for n, d in ((0, 1), (-4, 1), (1, 1), (2000, 0), (4, -1)):
+        with pytest.raises(ValueError, match=f"needs n >= 2 and d >= 1, got n = {n}, d = {d}"):
+            figure1_experiment(n=n, d=d, seed=1)
 
 
 def test_figure1_convergence_trend():

@@ -52,6 +52,9 @@ def test_exact_matches_oracle_on_random_atom_pairs():
         exact = levy_distance(f, g)
         grid = levy_distance_oracle(f, g, step)
         assert abs(exact - grid) <= 2e-3
+    for bad in (0.0, -1e-3):
+        with pytest.raises(ValueError, match="grid_step must be positive"):
+            levy_distance_oracle(f, g, bad)
 
 
 def _atoms(rng, size):
@@ -84,17 +87,18 @@ def test_trace_bound_matches_brute_force():
 
 
 @pytest.mark.parametrize(
-    "a, b",
+    "a, b, message",
     [
-        (np.array([[0.0, 1.0], [1.0, 0.0]]), np.zeros((2, 2))),
-        (np.eye(2, dtype=bool), np.zeros((2, 2), dtype=bool)),
-        (np.array([[0, 1], [1, 0]], dtype=np.uint8), np.zeros((2, 2), dtype=np.int64)),
-        (np.array([[0, 2], [2, 0]], dtype=np.uint8), np.zeros((2, 2), dtype=np.uint8)),
+        (np.array([[0.0, 1.0], [1.0, 0.0]]), np.zeros((2, 2)), "0/1"),
+        (np.eye(2, dtype=bool), np.zeros((2, 2), dtype=bool), "0/1"),
+        (np.array([[0, 1], [1, 0]], dtype=np.uint8), np.zeros((2, 2), dtype=np.int64), "0/1"),
+        (np.array([[0, 2], [2, 0]], dtype=np.uint8), np.zeros((2, 2), dtype=np.uint8), "0/1"),
+        (np.zeros((2, 2), dtype=np.uint8), np.zeros((3, 3), dtype=np.uint8), "orders differ"),
     ],
-    ids=["float", "bool", "mixed-dtypes", "entry-2"],
+    ids=["float", "bool", "mixed-dtypes", "entry-2", "orders-differ"],
 )
-def test_trace_bound_refuses_anything_but_0_1_entries(a, b):
-    with pytest.raises(ValueError, match="0/1"):
+def test_trace_bound_refuses_anything_but_0_1_entries(a, b, message):
+    with pytest.raises(ValueError, match=message):
         trace_bound(a, b)
 
 

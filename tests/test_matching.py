@@ -154,19 +154,26 @@ def test_circle_route_agrees_with_the_oracles(monkeypatch):
 @pytest.mark.parametrize("p", [1, 2, 3.5, INFINITY], ids=["p1", "p2", "p3.5", "pinf"])
 def test_hall_arc_is_a_true_hall_violator(p):
     m = MetricSpec(d=1, p=p)
-    grid = grid_points(96, 1)
-    for seed in range(5):
-        sample = sample_uniform(96, 1, 300 + seed)
+    lattice = grid_points(96, 1)
+    # A grid clustered in [0.975, 1.025) mod 1: m_n is near 1/2, so the
+    # samples in the cluster reach every grid point below it.  Their arcs
+    # hold column 0 and give no first column, so they must be left out of
+    # the run; every sample has a neighbour, so no run of one is found first.
+    clustered = PointSet(coords=(0.975 + 0.05 * np.random.default_rng(20).random((96, 1))) % 1.0, kind="grid")
+    cases = [(sample_uniform(96, 1, 300 + seed), lattice) for seed in range(5)] + [(sample_uniform(96, 1, 1020), clustered)]
+    for sample, grid in cases:
         m_n = bottleneck_matching(sample, grid, m).m_n
         order = np.argsort(sample.coords[:, 0], kind="stable")
-        a = sample.coords[order, 0]
-        E = torus_distance_matrix(_line(*a), grid, m)
-        first, length = matching._hall_arc(a, grid.coords[:, 0], E, m_n)
+        a, b = sample.coords[order, 0], np.sort(grid.coords[:, 0])
+        E = torus_distance_matrix(_line(*a), _line(*b), m)
+        first, length = matching._hall_arc(a, b, E, m_n)
         # Recount on the unsorted distances: the run's samples reach fewer
         # grid points below m_n than they number.
         run = order[(first + np.arange(length)) % 96]
         D = torus_distance_matrix(sample, grid, m)
         assert np.count_nonzero((D[run] < m_n).any(axis=0)) < length
+    size = np.count_nonzero(E < m_n, axis=1)
+    assert size.min() > 0 and np.any(size == 96)
 
 
 def test_hall_arc_refuses_a_run_the_count_does_not_confirm():
