@@ -107,11 +107,11 @@ class Theorem1Report:
 
 
 def check_tail_parameters(t: float, a: float) -> None:
-    """Reject a tail threshold t <= 0 or a Chernoff parameter a < 1."""
+    """Reject a tail threshold t <= 0 or a Chernoff parameter outside [1, inf)."""
     if not t > 0:
         raise ValueError(f"need t > 0, got {t}")
-    if not a >= 1:
-        raise ValueError(f"need a >= 1, got {a}")
+    if not 1 <= a < math.inf:
+        raise ValueError(f"need a >= 1 and finite, got {a}")
 
 
 def check_matching_regime(r: float, M_n: float) -> None:
@@ -126,9 +126,12 @@ def theorem1_rhs(
     """Evaluate the three-term tail bound exactly as printed.
 
     epsilon <= 0 sets the vacuous flag (bound exceeds 1, still reported);
-    r <= 2 M_n is a hard error since the bound's derivation needs r > 2 M_n.
+    r <= 2 M_n is a hard error since the bound's derivation needs r > 2 M_n,
+    and so is a non-finite r, for which the bound is nan.
     """
     check_tail_parameters(t, a)
+    if not 0 < r < math.inf:
+        raise ValueError(f"need r > 0 and finite, got {r}")
     check_matching_regime(r, M_n)
     if not a_n > 0:
         raise ValueError(f"need a_n > 0, got {a_n}")

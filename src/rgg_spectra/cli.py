@@ -220,13 +220,11 @@ def cmd_compare(opts: dict) -> dict[str, str]:
     if opts["plot"]:
         files["cdf.svg"] = _svg_step_plot([esd_a, esd_b], title)
     payload["levy_cubed"] = payload["levy"] ** 3
-    payload["trace_bound"] = None
     if opts["oracle"] is not None:
         payload["oracle"] = levy_distance_oracle(esd_a, esd_b, opts["oracle"])
     files["compare.json"] = _json_text(payload)
     print(f"levy = {_fmt(payload['levy'])}")
     print(f"levy_cubed = {_fmt(payload['levy_cubed'])}")
-    print("trace_bound = none")
     return files
 
 

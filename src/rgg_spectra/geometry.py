@@ -183,6 +183,8 @@ def sample_uniform(n: int, d: int, seed: int) -> PointSet:
     """n i.i.d. uniform points on [0,1)^d, deterministic per seed (PCG64)."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+    if seed < 0:
+        raise ValueError(f"need seed >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     return PointSet(coords=rng.random((n, d)), kind=SAMPLE)
 

@@ -47,8 +47,8 @@ def trial_seed(master_seed: int, trial_index: int) -> int:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment: lattice side N, dimension d, metric p, radius r > 0,
-    tail threshold t, Chernoff parameter a, trial count, and master seed."""
+    """One experiment: lattice side N, dimension d, metric p, finite radius
+    r > 0, tail threshold t, Chernoff parameter a, trial count, and master seed."""
 
     N: int
     d: int
@@ -60,8 +60,8 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not self.r > 0:
-            raise ValueError(f"need r > 0, got {self.r}")
+        if not 0 < self.r < math.inf:
+            raise ValueError(f"need r > 0 and finite, got {self.r}")
         if self.trials < 1:
             raise ValueError(f"need trials >= 1, got {self.trials}")
         _check_order(self.n)

@@ -14,7 +14,7 @@ grid points strictly within lam than it has points, so no perfect matching
 exists below lam (see _hall_arc).  The arc is read from each sample's
 neighbourhood on the distance matrix, its turn of the circle from the
 coordinates, and verified by exact counting.  Only if no arc verifies does
-the search fall back to one probe just below lam, resuming the general
+the search fall back to one probe just below lam, running the general
 search if that probe is feasible.  Avoiding the probe matters beyond its cost:
 scipy's Hopcroft-Karp took over 30 s on single d = 1 probes at N = 768 and
 over 60 s at N = 1024, even on shuffled columns.
@@ -25,8 +25,8 @@ their distinct distances sorted once (the threshold graph technique of
 Efrat, Itai & Katz, "Geometry helps in bottleneck matching and related
 problems", Algorithmica 31, 2001).  A probe at threshold t is the CSR of the
 candidates within t, which is the whole threshold graph D <= t because t
-never exceeds the cap.  In d >= 2 the cap starts at 2 * lower, and the
-search gallops up from lower in steps of 64, 128, 256, ... distinct
+never exceeds the cap.  The cap starts at 2 * lower, and the search
+gallops up from lower in steps of 64, 128, 256, ... distinct
 distances; a gallop that reaches the cap without a perfect matching widens
 the cap by half until it admits a new distance (up to the largest distance,
 where the graph is complete), so no threshold is probed twice.
@@ -35,8 +35,7 @@ the candidates to that matching's largest distance.  The search keeps the
 best perfect matching found so far: every feasible probe lowers the upper
 end to the largest distance of the matching it returns, and the search ends
 holding an optimal assignment, so it never probes the optimum a second
-time.  The d = 1 fallback enters the bisection with the matching its probe
-found.
+time.
 
 Every probe after the first is warm-started, the threshold method of Gabow
 & Tarjan ("Algorithms for two bottleneck optimization problems", J.
@@ -144,12 +143,13 @@ def _bottleneck_index(values: np.ndarray, D: np.ndarray, assignment: np.ndarray)
 _GALLOP = 64
 
 
-def _gallop(D: np.ndarray, lower: float) -> tuple[_Candidates, np.ndarray, int, np.ndarray]:
-    """Probe up from lower until a perfect matching is found.
+def _search(D: np.ndarray) -> tuple[float, np.ndarray]:
+    """Optimal value and assignment on D by the candidate-list search.
 
-    Returns the candidates, their sorted distinct distances, the position of
-    the lowest distance not proved infeasible, and the perfect matching.
+    Gallops up from the lower bound until a perfect matching is found, then
+    bisects the bracket below it.
     """
+    lower = max(D.min(axis=1).max(), D.min(axis=0).max())
     cap = 2.0 * lower
     candidates = _Candidates.within(D, cap)
     values = np.unique(candidates.dist)
@@ -158,7 +158,7 @@ def _gallop(D: np.ndarray, lower: float) -> tuple[_Candidates, np.ndarray, int, 
         mid = min(lo + step - 1, len(values) - 1)
         found = candidates.matching(values[mid], warm)
         if np.all(found >= 0):
-            return candidates, values, lo, found
+            break
         lo, step, warm = mid + 1, 2 * step, found
         while lo == len(values):
             # Infeasible at the cap: widen it until it admits a new distance,
@@ -169,24 +169,9 @@ def _gallop(D: np.ndarray, lower: float) -> tuple[_Candidates, np.ndarray, int, 
             cap = min(1.5 * cap, top) if cap > 0 else top
             candidates = _Candidates.within(D, cap)
             values = np.unique(candidates.dist)
-
-
-def _search(D: np.ndarray, best: np.ndarray | None) -> tuple[float, np.ndarray]:
-    """Optimal value and assignment on D by the candidate-list search.
-
-    best is a perfect matching to start from, or None to gallop up from the
-    lower bound until one is found.
-    """
-    lower = max(D.min(axis=1).max(), D.min(axis=0).max())
-    if best is None:
-        candidates, values, lo, best = _gallop(D, lower)
-    else:
-        candidates = _Candidates.within(D, D[np.arange(D.shape[0]), best].max())
-        values = np.unique(candidates.dist)
-        lo = int(np.searchsorted(values, lower))
     # Invariant: best is a perfect matching with largest distance values[hi],
     # and no perfect matching lies within values[lo - 1].
-    hi = _bottleneck_index(values, D, best)
+    best, hi = found, _bottleneck_index(values, D, found)
     candidates, values = candidates.cut(values[hi]), values[: hi + 1]
     while lo < hi:
         mid = (lo + hi) // 2
@@ -305,7 +290,7 @@ def _circle_matching(sample: PointSet, grid: PointSet, m: MetricSpec) -> Bottlen
         below = np.nextafter(lam, -math.inf)
         found = _Candidates.within(shuffled, below).matching(below, None)
         if np.all(found >= 0):
-            lam, found = _search(shuffled, found)
+            lam, found = _search(shuffled)
             best = cols[found]
     assignment = np.empty(n, dtype=np.int64)
     assignment[sample_order] = grid_order[best]
@@ -320,7 +305,7 @@ def bottleneck_matching(sample: PointSet, grid: PointSet, m: MetricSpec) -> Bott
         return _circle_matching(sample, grid, m)
     cols = _column_order(grid.n)
     grid = PointSet(coords=grid.coords[cols], kind=grid.kind)
-    m_n, best = _search(torus_distance_matrix(sample, grid, m), None)
+    m_n, best = _search(torus_distance_matrix(sample, grid, m))
     return BottleneckResult(m_n=m_n, assignment=cols[best])
 
 

@@ -114,6 +114,10 @@ def test_tail_bound_parameter_validation():
         theorem1_rhs(t=1.0, n=64, d=1, p=INFINITY, r=0.1, a_n=2.0, M_n=0.05, a=2.0)  # r == 2 m_n
     with pytest.raises(ValueError):
         theorem1_rhs(t=1.0, n=64, d=1, p=INFINITY, r=0.2, a_n=2.0, M_n=0.0, a=0.5)  # a < 1
+    with pytest.raises(ValueError, match="need a >= 1 and finite"):
+        theorem1_rhs(t=1.0, n=64, d=1, p=INFINITY, r=0.2, a_n=2.0, M_n=0.0, a=math.inf)
+    with pytest.raises(ValueError, match="need r > 0 and finite"):
+        theorem1_rhs(t=1.0, n=64, d=1, p=INFINITY, r=math.inf, a_n=2.0, M_n=0.0, a=2.0)
     with pytest.raises(ValueError):
         theorem1_rhs(t=0.0, n=64, d=1, p=INFINITY, r=0.2, a_n=2.0, M_n=0.0, a=2.0)  # t <= 0
     with pytest.raises(ValueError, match="need a_n > 0"):

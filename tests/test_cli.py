@@ -245,7 +245,7 @@ def test_compare_identical_files(tmp_path, capsys):
     assert "levy = 0" in captured
     payload = json.loads((out / "compare.json").read_text())
     assert payload["levy"] == 0.0
-    assert payload["trace_bound"] is None
+    assert "trace_bound" not in payload and "trace_bound" not in captured
     assert abs(payload["oracle"] - payload["levy"]) <= 2e-3
 
 
@@ -357,9 +357,9 @@ def test_compare_fig1_small(tmp_path):
     assert 0 < payload["twin_frac"] <= payload["atom_minus1_frac"] < 1
     assert (out / "cdf.svg").exists()
     scalars = {field.name for field in dataclasses.fields(harness.Figure1Result)} - {"esd_rgg", "esd_dgg"}
-    assert set(payload) == scalars | {"levy_cubed", "trace_bound"}
+    assert set(payload) == scalars | {"levy_cubed"}
     assert _run(["compare", "--fig1", "--n", 256, "--oracle", "--out", tmp_path / "oracle"]) == 0
-    assert set(json.loads((tmp_path / "oracle" / "compare.json").read_text())) == scalars | {"levy_cubed", "trace_bound", "oracle"}
+    assert set(json.loads((tmp_path / "oracle" / "compare.json").read_text())) == scalars | {"levy_cubed", "oracle"}
 
 
 def test_bounds_command_and_replay(tmp_path):
@@ -416,9 +416,11 @@ def test_bounds_out_of_regime_is_an_error(tmp_path, capsys, monkeypatch):
         (["--t", 0], "need t > 0"),
         (["--t", -1], "need t > 0"),
         (["--t", 1000, "--a", 0.5], "need a >= 1"),
+        (["--t", 1000, "--a", "inf"], "need a >= 1 and finite"),
+        (["--t", 1000, "--r", "inf"], "need r > 0 and finite"),
         (["--t", 1000, "--N", 65, "--d", 2], "ceiling"),
     ],
-    ids=["t-zero", "t-negative", "a-below-one", "order-past-ceiling"],
+    ids=["t-zero", "t-negative", "a-below-one", "a-inf", "r-inf", "order-past-ceiling"],
 )
 def test_bounds_rejects_bad_parameters_before_any_trial(tmp_path, capsys, monkeypatch, extra, message):
     def refuse(*args):

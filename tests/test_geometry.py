@@ -175,5 +175,7 @@ def test_point_set_validation():
         PointSet(coords=np.array([[0.5]]), kind="lattice")
     with pytest.raises(ValueError, match="need n >= 1"):
         sample_uniform(0, 1, 0)
+    with pytest.raises(ValueError, match="need seed >= 0, got -3"):
+        sample_uniform(5, 1, -3)
     with pytest.raises(ValueError, match="need N >= 1"):
         grid_points(0, 1)

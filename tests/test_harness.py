@@ -38,7 +38,7 @@ def test_config_derived_quantities():
     cfg = ExperimentConfig(N=8, d=2, p=2, r=0.2)
     assert cfg.n == 64
     assert cfg.r == 0.2
-    for r in (0.0, -0.1, math.nan):
+    for r in (0.0, -0.1, math.nan, math.inf):
         with pytest.raises(ValueError, match="need r > 0"):
             ExperimentConfig(N=8, d=1, p=2, r=r)
     with pytest.raises(ValueError):
