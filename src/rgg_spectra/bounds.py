@@ -159,7 +159,8 @@ def theorem1_rhs(
     term2, term2_log, term2_saturated = generating_term(theta * (r - 2.0 * M_n))
     term2_volume, _, _ = generating_term(theta * (r - 2.0 * M_n) ** d)
 
-    term3 = d_power(d, 2.0, p) * 2 ** (2 * d + 6) * lemma6_variance_bound(d, a_n) / (n * n * t * t)
+    denominator = n * n * t * t  # 0 once t < 1.6e-162 / n or so: term 3 is then inf
+    term3 = d_power(d, 2.0, p) * 2 ** (2 * d + 6) * lemma6_variance_bound(d, a_n) / denominator if denominator else math.inf
 
     return Theorem1Report(
         term1=term1,

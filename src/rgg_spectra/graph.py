@@ -63,14 +63,6 @@ def build_adjacency(points: PointSet, r: float, m: MetricSpec) -> AdjacencyMatri
     return AdjacencyMatrix(entries=entries)
 
 
-def _aligned(A: AdjacencyMatrix, matching: np.ndarray) -> np.ndarray:
-    """A's entries under the alignment: [i, j] -> A[matching[i], matching[j]].
-
-    A row take, then a column take: no n x n index arrays as with np.ix_.
-    """
-    return A.entries[matching][:, matching]
-
-
 def edge_list_text(A: AdjacencyMatrix) -> str:
     """Upper-triangle edge list, one 'i j' pair per line, 0-based (debugging aid)."""
     ii, jj = np.nonzero(np.triu(A.entries, k=1))

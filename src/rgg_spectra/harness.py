@@ -1,13 +1,14 @@
 """Seeded Monte Carlo harness: trials, tail-probability estimation, and the
 paired-CDF comparison experiment.
 
-Each trial samples points, builds the random-graph adjacency, compares its
-spectrum against the lattice spectrum (the DFT of the lattice's offset band,
-for every p), and evaluates the bottleneck matching and the trace bound.
-The lattice graph and its spectrum both come from dgg.dgg_band and depend
-only on (N, d, p, r), so they are built once per configuration and cached;
-only the random graph is rebuilt per trial.  The l_infinity closed form is
-only the tests' check route; figure1_experiment still reports its reach k.
+Figure 1 and each trial share one comparison route, _compare: sample points,
+build the random-graph adjacency and compare its spectrum with the lattice
+spectrum (the DFT of the lattice's offset band, for every p); a trial adds the
+bottleneck matching and the trace bound.  The lattice graph and its spectrum
+come from dgg.dgg_band and depend only on (N, d, p, r), so they are cached per
+configuration.  Figure 1 builds an ExperimentConfig, which makes its
+order-ceiling and radius checks; the l_infinity closed form is only the tests'
+check route, and figure1_experiment still reports its reach k.
 Per-trial seeds are a documented splitmix64 mix of the master seed and the
 trial index, so every aggregate is reproducible bit-for-bit.
 """
@@ -23,7 +24,7 @@ import numpy as np
 from .dgg import dgg_band, dgg_eigenvalues_dft, dgg_reach
 from .dgg import dgg_eigenvalues_closed_form  # noqa: F401  perfbench wraps it here until ROADMAP item 4
 from .geometry import INFINITY, MetricSpec, PointSet, average_degree, grid_points, sample_uniform
-from .graph import AdjacencyMatrix, _aligned, _refuse_dense, build_adjacency
+from .graph import AdjacencyMatrix, _refuse_dense, build_adjacency
 from .levy import levy_distance, trace_bound
 from .matching import bottleneck_matching
 from .spectra import Esd, _check_order, sym_eigenvalues, twin_classes
@@ -113,22 +114,30 @@ def _dgg_esd(N: int, d: int, p: float, r: float) -> Esd:
     return Esd(dgg_eigenvalues_dft(N, d, p, r))
 
 
+def _compare(cfg: ExperimentConfig, seed: int) -> tuple[PointSet, AdjacencyMatrix, Esd, Esd, float]:
+    """cfg's lattice against the random graph sampled with `seed`: the sample,
+    its adjacency A_X, the random-graph and lattice ESDs, and their Levy
+    distance.  The lattice ESD comes first, so it fails before sampling."""
+    esd_dgg = _dgg_esd(cfg.N, cfg.d, cfg.p, cfg.r)
+    sample = sample_uniform(cfg.n, cfg.d, seed)
+    A_X = build_adjacency(sample, cfg.r, cfg.metric)
+    esd_rgg = Esd(sym_eigenvalues(A_X))
+    return sample, A_X, esd_rgg, esd_dgg, levy_distance(esd_rgg, esd_dgg)
+
+
 def run_trial(cfg: ExperimentConfig, trial_index: int) -> TrialResult:
     """Execute one fully deterministic trial of the comparison pipeline.
 
     The lattice comes first, so one that cannot be built fails before sampling.
     """
-    n, r, metric = cfg.n, cfg.r, cfg.metric
-    esd_dgg = _dgg_esd(cfg.N, cfg.d, cfg.p, r)
-    grid, A_D = lattice_graph(cfg.N, cfg.d, cfg.p, r)
-    sample = sample_uniform(n, cfg.d, trial_seed(cfg.seed, trial_index))
-    A_X = build_adjacency(sample, r, metric)
-    esd_rgg = Esd(sym_eigenvalues(A_X))
-    levy = levy_distance(esd_rgg, esd_dgg)
-    bottleneck = bottleneck_matching(sample, grid, metric)
+    grid, A_D = lattice_graph(cfg.N, cfg.d, cfg.p, cfg.r)
+    sample, A_X, _, _, levy = _compare(cfg, trial_seed(cfg.seed, trial_index))
+    bottleneck = bottleneck_matching(sample, grid, cfg.metric)
+    # A_D aligned to the sample: row take, then column take; np.ix_ would build n x n index arrays.
+    match = bottleneck.assignment
     return TrialResult(
         levy_cubed=levy**3,
-        trace_bound=trace_bound(A_X.entries, _aligned(A_D, bottleneck.assignment)),
+        trace_bound=trace_bound(A_X.entries, A_D.entries[match][:, match]),
         m_n=bottleneck.m_n,
         xi_n=int(A_X.degrees().sum()) // 2,
     )
@@ -195,26 +204,22 @@ def figure1_experiment(n: int = 2000, d: int = 1, seed: int = 1) -> Figure1Resul
     """Connectivity-regime CDF comparison at r = log(n)/sqrt(n), l_infinity.
 
     n >= 2 must be a perfect d-th power (d >= 1) so the lattice has the same
-    size, and at most MAX_EIG_ORDER; the reported reach k needs 2k+1 <= N
-    (dgg_reach).  All are checked before sampling.  Emits both ESDs, their
-    Levy distance, and the random graph's twin share and -1 atom.
+    size, and at most MAX_EIG_ORDER (ExperimentConfig's check); the reported
+    reach k needs 2k+1 <= N (dgg_reach).  All are checked before sampling with
+    `seed`.  Emits both ESDs, their Levy distance, and the random graph's twin
+    share and -1 atom.
     """
     if n < 2 or d < 1:
         raise ValueError(f"figure 1 needs n >= 2 and d >= 1, got n = {n}, d = {d}")
     N = round(n ** (1.0 / d))
     if N**d != n:
         raise ValueError(f"n = {n} is not a perfect {d}-th power")
-    _check_order(n)
     r = math.log(n) / math.sqrt(n)
+    cfg = ExperimentConfig(N, d, INFINITY, r)
     k = dgg_reach(N, d, r)
-
-    esd_dgg = _dgg_esd(N, d, INFINITY, r)
-    sample = sample_uniform(n, d, seed)
-    A = build_adjacency(sample, r, MetricSpec(d=d, p=INFINITY))
-    esd_rgg = Esd(sym_eigenvalues(A))
-
+    _, A, esd_rgg, esd_dgg, levy = _compare(cfg, seed)
     return Figure1Result(
-        levy=levy_distance(esd_rgg, esd_dgg),
+        levy=levy,
         n=n,
         d=d,
         r=r,

@@ -80,6 +80,10 @@ def test_tail_bound_example_values():
     saturated = theorem1_rhs(t=1, n=512, d=1, p=INFINITY, r=0.3, a_n=307.2, M_n=0, a=100)
     assert saturated.term2 == saturated.term2_volume == saturated.total == math.inf
     assert saturated.term2_saturated and saturated.term2_log == pytest.approx(1752.555, rel=1e-6)
+    # Below t of about 1.6e-162 / n, n^2 t^2 underflows to 0: term 3 is inf, not a division error.
+    for t in (1e-170, 5e-324):
+        tiny = theorem1_rhs(t=t, n=8, d=1, p=INFINITY, r=0.3, a_n=4.8, M_n=0.12, a=2.0)
+        assert tiny.term3 == tiny.total == math.inf and tiny.vacuous
 
 
 def test_tail_bound_large_t_limit():

@@ -468,6 +468,14 @@ def test_every_json_file_is_strict_json(tmp_path):
         assert (gen / name).read_bytes() == (replayed / name).read_bytes()
 
 
+def test_bounds_tiny_threshold_has_an_infinite_term3(tmp_path):
+    # n^2 t^2 underflows to 0 at t = 1e-170; term 3 is then inf, and the run still succeeds.
+    out = tmp_path / "tiny"
+    assert _run(["bounds", "--N", 8, "--d", 1, "--r", 0.3, "--t", 1e-170, "--trials", 1, "--out", out]) == 0
+    theorem1 = _strict_json(out / "bounds.json")["theorem1"]
+    assert theorem1["term3"] == theorem1["total"] == "inf" and theorem1["vacuous"] is True
+
+
 def test_bounds_degenerate_chernoff(tmp_path):
     out = tmp_path / "a1"
     assert _run(["bounds", "--N", 16, "--d", 1, "--r", 0.499, "--t", 1000, "--a", 1, "--trials", 3, "--seed", 0, "--out", out]) == 0

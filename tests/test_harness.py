@@ -21,7 +21,9 @@ from rgg_spectra.harness import (
     trial_seed,
 )
 from rgg_spectra.dgg import dgg_reach
-from rgg_spectra.geometry import INFINITY, PointSet, grid_points
+from rgg_spectra.geometry import INFINITY, MetricSpec, PointSet, grid_points, sample_uniform
+from rgg_spectra.graph import build_adjacency
+from rgg_spectra.spectra import Esd, sym_eigenvalues
 
 
 def test_trial_seed_is_the_splitmix_stream():
@@ -247,6 +249,24 @@ def test_figure1_structure():
     assert result.levy >= 0
     assert result.k == int(256 * result.r)
     assert result.a_n_implied == pytest.approx(2 * 256 * result.r, rel=1e-15)
+
+
+@pytest.mark.parametrize("n, d", [(256, 1), (576, 2), (729, 3)])
+def test_figure1_compares_its_seeded_graph_with_the_cached_lattice(n, d):
+    # Figure 1 samples with its own seed, not a trial seed, under l_infinity.
+    result = figure1_experiment(n=n, d=d, seed=4)
+    adjacency = build_adjacency(sample_uniform(n, d, 4), result.r, MetricSpec(d, INFINITY))
+    assert np.array_equal(result.esd_rgg.eigenvalues, Esd(sym_eigenvalues(adjacency)).eigenvalues)
+    lattice = harness._dgg_esd(round(n ** (1.0 / d)), d, INFINITY, result.r)
+    assert np.array_equal(result.esd_dgg.eigenvalues, lattice.eigenvalues)
+
+
+@pytest.mark.parametrize("n, d", [(256, 1), (576, 2)])
+def test_figure1_with_the_grid_as_sample_is_its_lattice(grid_as_sample, n, d):
+    # The random graph is then the lattice graph: no twins, and the Levy
+    # distance is the DFT's rounding against the dense solver.
+    result = figure1_experiment(n=n, d=d, seed=1)
+    assert result.levy <= 1e-9 and result.twin_frac == 0
 
 
 def test_recorded_results_do_not_move():
