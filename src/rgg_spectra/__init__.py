@@ -48,7 +48,7 @@ from .harness import (
 )
 from .levy import levy_distance, levy_distance_oracle, trace_bound
 from .matching import BottleneckResult, bottleneck_matching, bottleneck_rate_envelope
-from .spectra import MAX_EIG_ORDER, Esd, esd_eval, sym_eigenvalues, twin_classes
+from .spectra import MAX_EIG_ORDER, Esd, esd_eval, sym_eigenvalues
 
 __all__ = [
     "__version__",
@@ -95,5 +95,4 @@ __all__ = [
     "torus_distance_matrix",
     "trace_bound",
     "trial_seed",
-    "twin_classes",
 ]

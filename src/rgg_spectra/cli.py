@@ -215,7 +215,7 @@ def cmd_compare(opts: dict) -> dict[str, str]:
         if table_a.shape[1] != 1 or table_b.shape[1] != 1:
             raise CliError(f"--esd needs one eigenvalue column each, got {table_a.shape[1]} and {table_b.shape[1]}")
         esd_a, esd_b = Esd(table_a), Esd(table_b)
-        title = "CDFs of --esd-a and --esd-b"  # this exact text keeps file-mode cdf.svg byte-identical to earlier releases
+        title = "CDFs of the two --esd files"
         payload = {"levy": levy_distance(esd_a, esd_b)}
     if opts["plot"]:
         files["cdf.svg"] = _svg_step_plot([esd_a, esd_b], title)

@@ -191,8 +191,8 @@ def sample_uniform(n: int, d: int, seed: int) -> PointSet:
 
 def grid_points(N: int, d: int) -> PointSet:
     """The lattice {0, 1/N, ..., (N-1)/N}^d in row-major order, N^d points."""
-    if N < 1:
-        raise ValueError(f"need N >= 1, got {N}")
+    if N < 1 or d < 1:
+        raise ValueError(f"need N >= 1 and d >= 1, got N = {N}, d = {d}")
     n = N**d
     if n > _MAX_GRID_POINTS:
         raise ValueError(f"grid of N^d = {n} points exceeds the size limit {_MAX_GRID_POINTS}")

@@ -2,12 +2,13 @@
 
 Edges connect distinct points at torus l_p distance <= r (exact double
 comparison, no epsilon slack).  Matrices are dense symmetric 0/1 arrays with
-zero diagonal.
+zero diagonal; each finds its true-twin classes once, when first asked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -39,6 +40,24 @@ class AdjacencyMatrix:
 
     def degrees(self) -> np.ndarray:
         return self.entries.sum(axis=1, dtype=np.int64)
+
+    @cached_property
+    def twin_classes(self) -> tuple[np.ndarray, np.ndarray]:
+        """True-twin classes: vertices whose rows of A + I are equal.
+
+        Each class's first vertex, ascending, and the class sizes, both
+        read-only.  Rows are compared exactly, as packed bit strings.  The
+        entries are frozen, so the search runs once per matrix.
+        """
+        closed = self.entries.copy()
+        np.fill_diagonal(closed, 1)
+        packed = np.packbits(closed, axis=1)
+        keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+        _, heads, sizes = np.unique(keys, return_index=True, return_counts=True)
+        order = np.argsort(heads)
+        heads, sizes = heads[order], sizes[order]
+        heads.flags.writeable = sizes.flags.writeable = False
+        return heads, sizes
 
 
 def _refuse_dense(n: int) -> None:

@@ -8,7 +8,8 @@ bottleneck matching and the trace bound.  The lattice graph and its spectrum
 come from dgg.dgg_band and depend only on (N, d, p, r), so they are cached per
 configuration.  Figure 1 builds an ExperimentConfig, which makes its
 order-ceiling and radius checks; the l_infinity closed form is only the tests'
-check route, and figure1_experiment still reports its reach k.
+check route, and figure1_experiment still reports its reach k.  Its twin
+share reads A.twin_classes, which sym_eigenvalues has already searched.
 Per-trial seeds are a documented splitmix64 mix of the master seed and the
 trial index, so every aggregate is reproducible bit-for-bit.
 """
@@ -27,7 +28,7 @@ from .geometry import INFINITY, MetricSpec, PointSet, average_degree, grid_point
 from .graph import AdjacencyMatrix, _refuse_dense, build_adjacency
 from .levy import levy_distance, trace_bound
 from .matching import bottleneck_matching
-from .spectra import Esd, _check_order, sym_eigenvalues, twin_classes
+from .spectra import Esd, _check_order, sym_eigenvalues
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -65,6 +66,9 @@ class ExperimentConfig:
             raise ValueError(f"need r > 0 and finite, got {self.r}")
         if self.trials < 1:
             raise ValueError(f"need trials >= 1, got {self.trials}")
+        if self.N < 1:
+            raise ValueError(f"need N >= 1, got {self.N}")
+        self.metric  # MetricSpec refuses d < 1 and p < 1
         _check_order(self.n)
 
     @property
@@ -225,7 +229,7 @@ def figure1_experiment(n: int = 2000, d: int = 1, seed: int = 1) -> Figure1Resul
         r=r,
         a_n_implied=average_degree(n, d, r),
         k=k,
-        twin_frac=1.0 - twin_classes(A)[0].size / n,  # kept on A by sym_eigenvalues
+        twin_frac=1.0 - A.twin_classes[0].size / n,
         atom_minus1_frac=float(np.mean(np.abs(esd_rgg.eigenvalues + 1.0) <= ATOM_TOLERANCE)),
         esd_rgg=esd_rgg,
         esd_dgg=esd_dgg,

@@ -261,6 +261,7 @@ def test_compare_plots_in_file_mode(tmp_path):
     assert _run(["compare", "--esd", esd_a, esd_b, "--plot", "--out", out]) == 0
     svg = (out / "cdf.svg").read_text()
     assert svg.startswith("<svg ") and svg.count("<path ") == 2
+    assert "--esd" in svg and "--esd-a" not in svg  # the title names the option that exists
     replayed = tmp_path / "replayed"
     assert _run(["replay", "--manifest", out / "manifest.json", "--out", replayed]) == 0
     assert (replayed / "cdf.svg").read_bytes() == (out / "cdf.svg").read_bytes()
@@ -419,8 +420,10 @@ def test_bounds_out_of_regime_is_an_error(tmp_path, capsys, monkeypatch):
         (["--t", 1000, "--a", "inf"], "need a >= 1 and finite"),
         (["--t", 1000, "--r", "inf"], "need r > 0 and finite"),
         (["--t", 1000, "--N", 65, "--d", 2], "ceiling"),
+        (["--t", 1000, "--d", 0], "dimension must be >= 1, got 0"),
+        (["--t", 1000, "--N", 0], "need N >= 1, got 0"),
     ],
-    ids=["t-zero", "t-negative", "a-below-one", "a-inf", "r-inf", "order-past-ceiling"],
+    ids=["t-zero", "t-negative", "a-below-one", "a-inf", "r-inf", "order-past-ceiling", "d-zero", "N-zero"],
 )
 def test_bounds_rejects_bad_parameters_before_any_trial(tmp_path, capsys, monkeypatch, extra, message):
     def refuse(*args):
@@ -598,6 +601,17 @@ def test_a_failed_compare_leaves_out_as_it_was(tmp_path, capsys, monkeypatch):
     assert not new.exists()
 
 
+def test_a_dft_with_an_imaginary_residue_fails_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    fftn = np.fft.fftn
+    monkeypatch.setattr(np.fft, "fftn", lambda *args: fftn(*args) + 1e-6j)
+    with pytest.raises(ArithmeticError, match="imaginary residue 1.000e-06"):
+        dgg_eigenvalues_dft(8, 1, INFINITY, 0.2)
+    out = tmp_path / "out"
+    assert _run(["spectrum", "--dgg", "8,1", "--r", 0.2, "--out", out]) == 1
+    assert "imaginary residue" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_a_failed_replay_writes_nothing(tmp_path, capsys):
     esd_a, esd_b = _eigenvalue_files(tmp_path)
     out = tmp_path / "cmp"
@@ -705,6 +719,17 @@ def _opens_for_writing(call: ast.Call) -> bool:
     index = 0 if isinstance(func, ast.Attribute) else 1
     mode = next((kw.value for kw in call.keywords if kw.arg == "mode"), call.args[index] if len(call.args) > index else None)
     return mode is not None and not (isinstance(mode, ast.Constant) and set(str(mode.value)) <= set("rbt"))
+
+
+def test_frozen_objects_are_set_only_by_their_own_post_init():
+    """Every object.__setattr__ in the package sets a field of `self`, so no
+    function writes into another frozen object behind its back."""
+    targets = set()
+    for path in sorted((ROOT / "src" / "rgg_spectra").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "object.__setattr__":
+                targets.add((path.name, ast.unparse(node.args[0])))
+    assert targets and {target for _, target in targets} == {"self"}, sorted(targets)
 
 
 def test_only_the_runner_writes_files():

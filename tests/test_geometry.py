@@ -179,3 +179,5 @@ def test_point_set_validation():
         sample_uniform(5, 1, -3)
     with pytest.raises(ValueError, match="need N >= 1"):
         grid_points(0, 1)
+    with pytest.raises(ValueError, match="d >= 1, got N = 4, d = 0"):
+        grid_points(4, 0)

@@ -50,6 +50,10 @@ def test_config_derived_quantities():
         ExperimentConfig(N=65, d=2, p=2, r=0.2)
     with pytest.raises(ValueError, match="ceiling"):
         ExperimentConfig(N=17, d=3, p=INFINITY, r=0.2)
+    # N = -2, d = 2 has n = 4, under the ceiling: N, d and p are checked on their own.
+    for N, d, p, message in ((4, 0, 2, "dimension must be >= 1"), (0, 1, 2, "need N >= 1"), (-2, 2, 2, "need N >= 1"), (8, 1, 0.5, "exponent must be >= 1")):
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(N=N, d=d, p=p, r=0.2)
 
 
 def test_run_trial_invariants_and_determinism():

@@ -6,17 +6,10 @@ import numpy as np
 import pytest
 
 from oracles import jacobi_eigenvalues, random_symmetric_01, twin_classes_oracle
-from rgg_spectra import spectra
 from rgg_spectra.geometry import INFINITY, MetricSpec, PointSet, grid_points, sample_uniform
 from rgg_spectra.graph import AdjacencyMatrix, build_adjacency
 from rgg_spectra.levy import levy_distance
-from rgg_spectra.spectra import (
-    MAX_EIG_ORDER,
-    Esd,
-    esd_eval,
-    sym_eigenvalues,
-    twin_classes,
-)
+from rgg_spectra.spectra import MAX_EIG_ORDER, Esd, esd_eval, sym_eigenvalues
 
 
 def test_two_by_two_closed_form():
@@ -68,8 +61,9 @@ def _adjacency(name: str) -> AdjacencyMatrix:
 @pytest.mark.parametrize("name", sorted(GRAPHS))
 def test_twin_quotient_matches_the_dense_solver(name):
     A = _adjacency(name)
-    heads, sizes = twin_classes(A)
+    heads, sizes = A.twin_classes
     assert (heads.tolist(), sizes.tolist()) == twin_classes_oracle(A)
+    assert A.twin_classes[0] is heads and not (heads.flags.writeable or sizes.flags.writeable)  # kept, read-only
     values = sym_eigenvalues(A)
     assert values.shape == (A.n,)
     assert np.all(np.diff(values) >= 0)
@@ -85,14 +79,14 @@ def test_twin_quotient_matches_the_dense_solver(name):
 @pytest.mark.parametrize("name", ["lattice-d1", "lattice-d2", "edgeless", "n1"])
 def test_twin_free_spectrum_is_bit_identical(name):
     A = _adjacency(name)
-    heads, sizes = twin_classes(A)
+    heads, sizes = A.twin_classes
     assert np.array_equal(heads, np.arange(A.n)) and np.all(sizes == 1)
     assert np.array_equal(sym_eigenvalues(A), np.linalg.eigvalsh(A.entries.astype(float)))
 
 
 def test_complete_graph_is_one_class():
     A = _adjacency("complete")
-    heads, sizes = twin_classes(A)
+    heads, sizes = A.twin_classes
     assert heads.tolist() == [0] and sizes.tolist() == [A.n]
     expected = np.array([-1.0] * (A.n - 1) + [A.n - 1.0])
     assert np.array_equal(sym_eigenvalues(A), expected)
@@ -100,7 +94,7 @@ def test_complete_graph_is_one_class():
 
 def test_twin_quotient_agrees_with_jacobi():
     A = _adjacency("duplicated")
-    assert twin_classes(A)[0].size < A.n
+    assert A.twin_classes[0].size < A.n
     assert np.max(np.abs(jacobi_eigenvalues(A) - sym_eigenvalues(A))) <= 1e-10
 
 
@@ -108,7 +102,7 @@ def test_order_ceiling_enforced(monkeypatch):
     def refuse(A):
         raise AssertionError("twin classes were searched before the order was checked")
 
-    monkeypatch.setattr(spectra, "twin_classes", refuse)
+    monkeypatch.setattr(AdjacencyMatrix, "twin_classes", property(refuse))
     too_big = AdjacencyMatrix(entries=np.zeros((MAX_EIG_ORDER + 1, MAX_EIG_ORDER + 1), dtype=np.uint8))
     with pytest.raises(ValueError, match="ceiling"):
         sym_eigenvalues(too_big)
@@ -137,6 +131,7 @@ def test_esd_sorts_and_validates():
     assert esd.n == 3
     assert not esd.eigenvalues.flags.writeable and values.flags.writeable  # a frozen copy
     assert Esd(values[:, None]) == esd  # a one-column table is flattened
+    assert (Esd([1.0]) == [1.0]) is False  # no equality with a non-Esd
 
 
 def test_an_unsorted_or_invalid_esd_cannot_be_built():
